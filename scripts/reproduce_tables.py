@@ -4,8 +4,8 @@ by stage, how closely each reference table is reproduced."""
 
 import argparse
 
-from it2ipa import failure_score, fixtures, success_score
-from it2ipa.report import PipelineConfig, emit, run_pipeline
+from it2ipa import fixtures
+from it2ipa.report import REPORT_FORMATS, PipelineConfig, emit, reference_comparison, run_pipeline
 from it2ipa.survey import factor_sort_key
 
 
@@ -16,9 +16,8 @@ def main() -> int:
                         default="as_computed")
     args = parser.parse_args()
 
-    config = PipelineConfig(cffs_mode=args.cffs_mode,
-                            formats=("structured", "delimited", "svg-map"))
-    report = run_pipeline(config)
+    report = run_pipeline(PipelineConfig(cffs_mode=args.cffs_mode))
+    comparison = reference_comparison(report)
     by_id = {p.factor.id: p for p in report.profiles}
 
     print("== Crisp importance/performance vs reference ==")
@@ -27,39 +26,22 @@ def main() -> int:
     for fid in sorted(reference, key=factor_sort_key):
         p = by_id[fid]
         ref_w, ref_r = reference[fid]
-        dw, dr = abs(p.e_w - ref_w), abs(p.e_r - ref_r)
-        worst = max(worst, dw, dr)
+        worst = max(worst, abs(p.e_w - ref_w), abs(p.e_r - ref_r))
         print(f"  {fid:5s} importance {p.e_w:.5f} (ref {ref_w:.3f})  "
               f"performance {p.e_r:.5f} (ref {ref_r:.3f})")
     print(f"  worst deviation: {worst:.5f} (tolerance 0.001)\n")
 
     print("== Score tuples vs reference ==")
-    scores = fixtures.reference_scores()
     for kind in ("success", "failure"):
-        worst = 0.0
-        for fid, expected in scores[kind].items():
-            p = by_id[fid]
-            if kind == "success":
-                value = success_score(p.factor, p.w_fuzzy, p.r_fuzzy).value
-            else:
-                value = failure_score(p.factor, p.w_fuzzy, p.r_fuzzy,
-                                      mode=args.cffs_mode).value
-            gap = max(
-                abs(a - b)
-                for a, b in zip(value.upper.endpoints + value.lower.endpoints,
-                                expected.upper.endpoints + expected.lower.endpoints)
-            )
-            worst = max(worst, gap)
-        print(f"  {kind}: {len(scores[kind])} factors, "
-              f"max endpoint deviation {worst:.4f} (tolerance 0.005)")
+        print(f"  {kind}: {len(comparison[kind]['reference_candidates'])} factors, "
+              f"max endpoint deviation {comparison[kind]['deviation']:.4f} (tolerance 0.005)")
     print()
 
     print("== Rankings (computed rank values; reference values are not derivable) ==")
     for kind, ranking in (("failure", report.failure_ranking),
                           ("success", report.success_ranking)):
-        ref_order = [fid for fid, _ in fixtures.reference_rankings()[kind]]
-        print(f"  {kind}: computed order "
-              f"{[rf.factor.id for rf in ranking]} | reference order {ref_order}")
+        print(f"  {kind}: computed order {comparison[kind]['order']} | "
+              f"reference order {comparison[kind]['reference_order']}")
         for i, rf in enumerate(ranking, start=1):
             print(f"    {i}. {rf.factor.id:5s} rank {rf.rank:.3f}")
     print()
@@ -72,7 +54,7 @@ def main() -> int:
         print(f"  {i}. {note}")
 
     if args.out:
-        for path in emit(report, args.out):
+        for path in emit(report, args.out, REPORT_FORMATS):
             print(f"wrote {path}")
     return 0
 

@@ -8,7 +8,7 @@ import sys
 
 from . import fixtures, ipamap, report as report_mod, scoring
 from .errors import InputFileError
-from .ipamap import MapThresholds, OutOfRangeError
+from .ipamap import MapThresholds
 from .report import PipelineConfig, REPORT_FORMATS, emit, run_pipeline
 from .scale import UnknownTermError
 from .survey import EmptyMatrixError
@@ -70,8 +70,6 @@ def main(argv: list[str] | None = None) -> int:
         thresholds=args.thresholds,
         partition_mode=args.partition_mode,
         cffs_mode=args.cffs_mode,
-        out_dir=args.out,
-        formats=tuple(args.formats) if args.formats else (report_mod.STRUCTURED,),
     )
     try:
         result = run_pipeline(
@@ -91,13 +89,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out:
         try:
-            written = emit(result)
+            written = emit(result, args.out, args.formats or [report_mod.STRUCTURED])
         except report_mod.IoFailureError as exc:
             return _diagnostic(str(exc.path), None, str(exc))
         for path in written:
             print(path)
     else:
-        print(json.dumps(result.to_structured(), indent=2))
+        sys.stdout.write(report_mod.to_json(result.to_structured()))
     return 0
 
 

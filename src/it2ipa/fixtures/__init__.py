@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 from ..numbers import IT2TrapFN
+from ..survey import data_rows
 
 _DIR = Path(__file__).resolve().parent
 
@@ -16,11 +16,8 @@ RANKS = _DIR / "reference_ranks.csv"
 
 
 def _rows(path: Path) -> list[dict]:
-    lines = [
-        line for line in path.read_text().splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    return list(csv.DictReader(lines))
+    (_, header), *rows = data_rows(path)
+    return [dict(zip(header, row)) for _, row in rows]
 
 
 def aggregated_path() -> Path:

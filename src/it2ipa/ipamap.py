@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .survey import FactorProfile, factor_sort_key
 
@@ -49,6 +49,15 @@ class MapRegion:
     zone: str
 
 
+@dataclass(frozen=True)
+class PlacedFactor(FactorProfile):
+    """A profile with its crisp importance and performance and its map cell."""
+
+    e_w: float
+    e_r: float
+    region: MapRegion
+
+
 def band(value: float, thresholds: MapThresholds) -> str:
     """Band assignment over [0, t1), [t1, t2), [t2, 1]."""
     if not (0.0 <= value <= 1.0):
@@ -60,9 +69,12 @@ def band(value: float, thresholds: MapThresholds) -> str:
     return "high"
 
 
-def _zone_of(importance_band: str, performance_band: str) -> str:
-    gap = BANDS.index(importance_band) - BANDS.index(performance_band)
+def _zone(gap: float) -> str:
     return WEAKNESS if gap > 0 else (BALANCED if gap == 0 else STRENGTH)
+
+
+def _zone_of(importance_band: str, performance_band: str) -> str:
+    return _zone(BANDS.index(importance_band) - BANDS.index(performance_band))
 
 
 def place(e_w: float, e_r: float, thresholds: MapThresholds) -> MapRegion:
@@ -77,11 +89,10 @@ def place(e_w: float, e_r: float, thresholds: MapThresholds) -> MapRegion:
 
 
 def partition(
-    profiles: list[FactorProfile],
-    thresholds: MapThresholds,
+    profiles: list[PlacedFactor],
     mode: str = REGION_MODE,
-) -> tuple[list[FactorProfile], list[FactorProfile], list[FactorProfile]]:
-    """Split profiles into (failure candidates, success candidates, balanced).
+) -> tuple[list[PlacedFactor], list[PlacedFactor], list[PlacedFactor]]:
+    """Split placed profiles into (failure candidates, success candidates, balanced).
 
     ``region`` mode follows the map zone; ``comparison`` mode compares the
     crisp values directly (importance above performance means a failure
@@ -89,32 +100,26 @@ def partition(
     """
     if mode not in (REGION_MODE, COMPARISON_MODE):
         raise ValueError(f"mode must be '{REGION_MODE}' or '{COMPARISON_MODE}', got {mode!r}")
-    failure, success, balanced = [], [], []
+    parts: dict[str, list[PlacedFactor]] = {WEAKNESS: [], STRENGTH: [], BALANCED: []}
     for profile in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
-        if profile.e_w is None or profile.e_r is None:
-            raise ValueError(f"factor {profile.factor.id}: profile lacks crisp values")
-        if mode == REGION_MODE:
-            zone = place(profile.e_w, profile.e_r, thresholds).zone
-        else:
-            diff = profile.e_w - profile.e_r
-            zone = WEAKNESS if diff > 0 else (BALANCED if diff == 0 else STRENGTH)
-        target = failure if zone == WEAKNESS else (balanced if zone == BALANCED else success)
-        target.append(profile)
-    return failure, success, balanced
+        zone = profile.region.zone if mode == REGION_MODE else _zone(profile.e_w - profile.e_r)
+        parts[zone].append(profile)
+    return parts[WEAKNESS], parts[STRENGTH], parts[BALANCED]
 
 
-def _cells(profiles, thresholds):
-    cells: dict[tuple[str, str], list[FactorProfile]] = {
-        (i, p): [] for i in BANDS for p in BANDS
-    }
+def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
+    """The map as data: cut points, then the nine cells (high importance first) with factors."""
+    cells = [MapRegion(i, p, _zone_of(i, p)) for i in reversed(BANDS) for p in BANDS]
+    regions = {cell: {**asdict(cell), "factors": []} for cell in cells}
     for profile in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
-        region = place(profile.e_w, profile.e_r, thresholds)
-        cells[(region.importance_band, region.performance_band)].append(profile)
-    return cells
+        regions[profile.region]["factors"].append(
+            {"id": profile.factor.id, "importance": profile.e_w, "performance": profile.e_r}
+        )
+    return {"thresholds": [thresholds.t1, thresholds.t2], "regions": list(regions.values())}
 
 
 def render_map(
-    profiles: list[FactorProfile],
+    profiles: list[PlacedFactor],
     thresholds: MapThresholds,
     format: str = TEXT_FORMAT,
 ) -> str:
@@ -124,19 +129,20 @@ def render_map(
     byte-identical documents.
     """
     if format == TEXT_FORMAT:
-        return _render_text(profiles, thresholds)
+        return _render_text(build_map(profiles, thresholds))
     if format == SVG_FORMAT:
         return _render_svg(profiles, thresholds)
     if format == STRUCTURED_FORMAT:
-        return _render_structured(profiles, thresholds)
+        return json.dumps(build_map(profiles, thresholds), indent=2, allow_nan=False) + "\n"
     raise UnsupportedFormatError(f"unsupported map format: {format!r}")
 
 
-def _render_text(profiles, thresholds) -> str:
-    cells = _cells(profiles, thresholds)
+def _render_text(doc: dict) -> str:
     content = {
-        key: " ".join(p.factor.id for p in members) for key, members in cells.items()
+        (r["importance_band"], r["performance_band"]): " ".join(f["id"] for f in r["factors"])
+        for r in doc["regions"]
     }
+    t1, t2 = doc["thresholds"]
     row_label = "importance"
     widths = {
         p: max([len(p)] + [len(content[(i, p)]) for i in BANDS]) for p in BANDS
@@ -152,28 +158,8 @@ def _render_text(profiles, thresholds) -> str:
         row += [content[(importance_band, p)].ljust(widths[p]) for p in BANDS]
         lines.append(" | ".join(row))
     lines.append("")
-    lines.append(f"columns: performance bands (cuts at {thresholds.t1:.6g}, {thresholds.t2:.6g})")
+    lines.append(f"columns: performance bands (cuts at {t1:.6g}, {t2:.6g})")
     return "\n".join(lines) + "\n"
-
-
-def _render_structured(profiles, thresholds) -> str:
-    cells = _cells(profiles, thresholds)
-    regions = []
-    for importance_band in reversed(BANDS):
-        for performance_band in BANDS:
-            members = cells[(importance_band, performance_band)]
-            zone = _zone_of(importance_band, performance_band)
-            regions.append({
-                "importance_band": importance_band,
-                "performance_band": performance_band,
-                "zone": zone,
-                "factors": [
-                    {"id": p.factor.id, "importance": p.e_w, "performance": p.e_r}
-                    for p in members
-                ],
-            })
-    doc = {"thresholds": [thresholds.t1, thresholds.t2], "regions": regions}
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _render_svg(profiles, thresholds) -> str:
@@ -221,8 +207,6 @@ def _render_svg(profiles, thresholds) -> str:
         f'transform="rotate(-90 15 {margin + size / 2:.2f})">importance</text>'
     )
     for profile in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
-        # place() also validates the coordinates
-        place(profile.e_w, profile.e_r, thresholds)
         x, y = sx(profile.e_r), sy(profile.e_w)
         parts.append(f'<circle class="pt" cx="{x}" cy="{y}" r="3"/>')
         parts.append(f'<text x="{float(x) + 5:.2f}" y="{float(y) - 4:.2f}">{profile.factor.id}</text>')

@@ -4,21 +4,21 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fixtures, ipamap, scoring
 from .defuzz import dtrat
 from .errors import InputFileError
-from .ipamap import MapThresholds
-from .scale import LinguisticScale, default_scale, load_scale
+from .ipamap import MapThresholds, PlacedFactor
+from .numbers import DivisorSpansZeroError
+from .scale import default_scale, load_scale
 from .scoring import RankedFactor
 from .survey import (
-    FactorProfile,
     Psychometrics,
     cronbach_alpha,
     cvr,
@@ -48,7 +48,7 @@ class IoFailureError(OSError):
         super().__init__(f"cannot write {path}: {cause}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Everything the pipeline needs besides the input files."""
 
@@ -56,36 +56,31 @@ class PipelineConfig:
     thresholds: MapThresholds = field(default_factory=MapThresholds)
     partition_mode: str = ipamap.REGION_MODE
     cffs_mode: str = scoring.AS_COMPUTED
-    out_dir: str | None = None
-    formats: tuple[str, ...] = (STRUCTURED,)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.partition_mode not in (ipamap.REGION_MODE, ipamap.COMPARISON_MODE):
             raise ValueError(f"unknown partition mode: {self.partition_mode!r}")
         if self.cffs_mode not in scoring.FAILURE_MODES:
             raise ValueError(f"unknown failure-score mode: {self.cffs_mode!r}")
-        unknown = [f for f in self.formats if f not in REPORT_FORMATS]
-        if unknown:
-            raise ValueError(f"unknown report formats: {unknown}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
     """All pipeline results. ``to_structured`` mirrors the emitted JSON schema."""
 
     config: PipelineConfig
-    scale: LinguisticScale
     scale_source: str
     input_source: str
     used_bundled_input: bool
-    profiles: list[FactorProfile]
-    failure_candidates: list[FactorProfile]
-    success_candidates: list[FactorProfile]
-    balanced: list[FactorProfile]
+    profiles: list[PlacedFactor]
+    failure_candidates: list[PlacedFactor]
+    success_candidates: list[PlacedFactor]
+    balanced: list[PlacedFactor]
     success_ranking: list[RankedFactor]
     failure_ranking: list[RankedFactor]
     psychometrics: dict | None
-    notes: list[str]
+    map: dict
+    notes: tuple[str, ...] = ()
 
     def map_document(self, format: str) -> str:
         return ipamap.render_map(self.profiles, self.config.thresholds, format)
@@ -164,7 +159,7 @@ class Report:
                 "success": ranking_rows(self.success_ranking),
                 "failure": ranking_rows(self.failure_ranking),
             },
-            "map": json.loads(self.map_document(ipamap.STRUCTURED_FORMAT)),
+            "map": self.map,
             "psychometrics": self.psychometrics if self.psychometrics else {"provided": False},
             "notes": list(self.notes),
         }
@@ -221,7 +216,40 @@ def _endpoint_deviation(computed, reference) -> float:
     return max(abs(c - r) for c, r in pairs)
 
 
-def _build_notes(report: Report) -> list[str]:
+def reference_comparison(report: Report) -> dict:
+    """How far a report on the bundled dataset is from its reference tables.
+
+    Per kind (``success``, ``failure``): the largest endpoint deviation of the
+    score tuples, and the computed candidates and ranking order beside the
+    reference ones. ``unlisted`` names the factors in neither reference list.
+    """
+    scores, rankings = fixtures.reference_scores(), fixtures.reference_rankings()
+    comparison = {}
+    for kind, candidates, ranking, score in (
+        (scoring.SUCCESS, report.success_candidates, report.success_ranking,
+         scoring.success_score),
+        (scoring.FAILURE, report.failure_candidates, report.failure_ranking,
+         functools.partial(scoring.failure_score, mode=report.config.cffs_mode)),
+    ):
+        comparison[kind] = {
+            "deviation": max(
+                _endpoint_deviation(
+                    score(p.factor, p.w_fuzzy, p.r_fuzzy).value, scores[kind][p.factor.id]
+                )
+                for p in report.profiles if p.factor.id in scores[kind]
+            ),
+            "candidates": sorted((p.factor.id for p in candidates), key=factor_sort_key),
+            "reference_candidates": sorted(scores[kind], key=factor_sort_key),
+            "order": [rf.factor.id for rf in ranking],
+            "reference_order": [fid for fid, _ in rankings[kind]],
+        }
+    listed = scores[scoring.SUCCESS].keys() | scores[scoring.FAILURE].keys()
+    unlisted = {p.factor.id for p in report.profiles} - listed
+    comparison["unlisted"] = sorted(unlisted, key=factor_sort_key)
+    return comparison
+
+
+def _build_notes(report: Report) -> tuple[str, ...]:
     notes = []
     if report.config.cffs_mode == scoring.AS_COMPUTED:
         notes.append(
@@ -240,71 +268,37 @@ def _build_notes(report: Report) -> list[str]:
         "reference score tuples and serve for order comparison only."
     )
     if not report.used_bundled_input:
-        return notes
+        return tuple(notes)
 
-    reference = fixtures.reference_scores()
-    by_id = {p.factor.id: p for p in report.profiles}
-
-    deviations = [
-        _endpoint_deviation(
-            scoring.success_score(by_id[fid].factor, by_id[fid].w_fuzzy, by_id[fid].r_fuzzy).value,
-            ref,
-        )
-        for fid, ref in reference["success"].items()
-        if fid in by_id
-    ]
-    if deviations:
-        notes.append(
-            f"Success score tuples vs reference (8 factors): "
-            f"max endpoint deviation {max(deviations):.4f}."
-        )
-    deviations = [
-        _endpoint_deviation(
-            scoring.failure_score(
-                by_id[fid].factor, by_id[fid].w_fuzzy, by_id[fid].r_fuzzy,
-                mode=report.config.cffs_mode,
-            ).value,
-            ref,
-        )
-        for fid, ref in reference["failure"].items()
-        if fid in by_id
-    ]
-    if deviations:
-        agreement = "within" if max(deviations) <= 0.005 else "OUTSIDE"
-        notes.append(
-            f"Failure score tuples ({report.config.cffs_mode}) vs reference (7 factors): "
-            f"max endpoint deviation {max(deviations):.4f} ({agreement} the 0.005 "
-            f"reproduction tolerance)."
-        )
-
-    def ids(profiles):
-        return {p.factor.id for p in profiles}
-
-    ref_success = set(reference["success"])
-    ref_failure = set(reference["failure"])
-    computed_failure, computed_success = ids(report.failure_candidates), ids(report.success_candidates)
-    if computed_failure != ref_failure or computed_success != ref_success:
-        unlisted = sorted(
-            ids(report.profiles) - ref_success - ref_failure, key=factor_sort_key
-        )
+    comparison = reference_comparison(report)
+    success, failure = comparison[scoring.SUCCESS], comparison[scoring.FAILURE]
+    notes.append(
+        f"Success score tuples vs reference ({len(success['reference_candidates'])} factors): "
+        f"max endpoint deviation {success['deviation']:.4f}."
+    )
+    agreement = "within" if failure["deviation"] <= 0.005 else "OUTSIDE"
+    notes.append(
+        f"Failure score tuples ({report.config.cffs_mode}) vs reference "
+        f"({len(failure['reference_candidates'])} factors): "
+        f"max endpoint deviation {failure['deviation']:.4f} ({agreement} the 0.005 "
+        f"reproduction tolerance)."
+    )
+    if any(c["candidates"] != c["reference_candidates"] for c in (success, failure)):
         notes.append(
             f"The reference success/failure membership lists are not derivable from the "
             f"{report.config.partition_mode} partition rule on the defuzzified values: "
-            f"computed failure candidates {sorted(computed_failure, key=factor_sort_key)} vs "
-            f"reference {sorted(ref_failure, key=factor_sort_key)}; computed success candidates "
-            f"{sorted(computed_success, key=factor_sort_key)} vs reference "
-            f"{sorted(ref_success, key=factor_sort_key)}. Factors absent from both reference "
-            f"lists: {unlisted}."
+            f"computed failure candidates {failure['candidates']} vs "
+            f"reference {failure['reference_candidates']}; computed success candidates "
+            f"{success['candidates']} vs reference {success['reference_candidates']}. "
+            f"Factors absent from both reference lists: {comparison['unlisted']}."
         )
-    for kind, ranking in (("success", report.success_ranking), ("failure", report.failure_ranking)):
-        ref_order = [fid for fid, _ in fixtures.reference_rankings()[kind]]
-        computed_order = [rf.factor.id for rf in ranking]
-        if computed_order and computed_order != ref_order:
+    for kind, c in ((scoring.SUCCESS, success), (scoring.FAILURE, failure)):
+        if c["order"] and c["order"] != c["reference_order"]:
             notes.append(
-                f"Computed {kind} ranking order {computed_order} differs from the "
-                f"reference order {ref_order}."
+                f"Computed {kind} ranking order {c['order']} differs from the "
+                f"reference order {c['reference_order']}."
             )
-    return notes
+    return tuple(notes)
 
 
 def run_pipeline(
@@ -317,9 +311,9 @@ def run_pipeline(
 
     Exactly one of ``ratings_path`` / ``aggregated_path`` may be given; with
     neither, the bundled reference dataset is used. The result is a pure
-    function of the inputs and the configuration.
+    function of the inputs and the configuration. Each stage runs once per
+    factor and builds new immutable records.
     """
-    config.validate()
     if ratings_path is not None and aggregated_path is not None:
         raise ValueError("give either a ratings file or an aggregated file, not both")
 
@@ -342,22 +336,28 @@ def run_pipeline(
         input_source = str(aggregated_path)
         used_bundled = Path(aggregated_path).resolve() == fixtures.aggregated_path().resolve()
 
-    profiles.sort(key=lambda p: factor_sort_key(p.factor.id))
-    for profile in profiles:
-        profile.e_w = dtrat(profile.w_fuzzy)
-        profile.e_r = dtrat(profile.r_fuzzy)
-        profile.region = ipamap.place(profile.e_w, profile.e_r, config.thresholds)
+    placed = []
+    for p in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
+        e_w, e_r = dtrat(p.w_fuzzy), dtrat(p.r_fuzzy)
+        region = ipamap.place(e_w, e_r, config.thresholds)
+        placed.append(PlacedFactor(p.factor, p.w_fuzzy, p.r_fuzzy, e_w, e_r, region))
 
     failure_candidates, success_candidates, balanced = ipamap.partition(
-        profiles, config.thresholds, config.partition_mode
+        placed, config.partition_mode
     )
     success_scores = [
         scoring.success_score(p.factor, p.w_fuzzy, p.r_fuzzy) for p in success_candidates
     ]
-    failure_scores = [
-        scoring.failure_score(p.factor, p.w_fuzzy, p.r_fuzzy, mode=config.cffs_mode)
-        for p in failure_candidates
-    ]
+    failure_scores = []
+    for p in failure_candidates:
+        try:
+            failure_scores.append(
+                scoring.failure_score(p.factor, p.w_fuzzy, p.r_fuzzy, mode=config.cffs_mode)
+            )
+        except DivisorSpansZeroError as exc:
+            raise InputFileError(
+                input_source, f"factor {p.factor.id}: {config.cffs_mode} failure score: {exc}"
+            ) from exc
 
     psychometrics = None
     if psychometrics_path is not None:
@@ -366,36 +366,35 @@ def run_pipeline(
 
     report = Report(
         config=config,
-        scale=scale,
         scale_source=scale_source,
         input_source=input_source,
         used_bundled_input=used_bundled,
-        profiles=profiles,
+        profiles=placed,
         failure_candidates=failure_candidates,
         success_candidates=success_candidates,
         balanced=balanced,
         success_ranking=scoring.rank_order(success_scores),
         failure_ranking=scoring.rank_order(failure_scores),
         psychometrics=psychometrics,
-        notes=[],
+        map=ipamap.build_map(placed, config.thresholds),
     )
-    report.notes = _build_notes(report)
-    return report
+    return dataclasses.replace(report, notes=_build_notes(report))
 
 
 # ---------------------------------------------------------------------------
 # Emission
 
 def _write_atomic(path: Path, content: str) -> None:
+    """Write through a new temp file and a rename; the umask sets the file mode."""
+    tmp_name = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
-            with os.fdopen(fd, "w", newline="") as handle:
+            with open(tmp_name, "x", newline="") as handle:
                 handle.write(content)
             os.replace(tmp_name, path)
         except BaseException:
-            os.unlink(tmp_name)
+            tmp_name.unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise IoFailureError(path, exc) from exc
@@ -476,31 +475,31 @@ def _delimited_files(report: Report) -> dict[str, str]:
     return files
 
 
-def emit(report: Report, out_dir: str | Path | None = None, formats=None) -> list[Path]:
-    """Write the report to ``out_dir`` in the requested formats.
+def to_json(doc: dict) -> str:
+    """The text of a structured document as written: strict JSON, no NaN or infinity."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
+    """Write the report to ``out_dir`` in each of ``formats``.
 
     Files are written atomically (temp file + rename). Returns the written
     paths in a fixed order.
     """
-    out = Path(out_dir if out_dir is not None else report.config.out_dir or ".")
-    wanted = tuple(formats if formats is not None else report.config.formats)
-    unknown = [f for f in wanted if f not in REPORT_FORMATS]
+    out = Path(out_dir)
+    unknown = [f for f in formats if f not in REPORT_FORMATS]
     if unknown:
         raise ValueError(f"unknown report formats: {unknown}")
 
     written: list[Path] = []
-    for format in dict.fromkeys(wanted):
+    for format in dict.fromkeys(formats):
         if format == STRUCTURED:
-            path = out / "report.json"
-            _write_atomic(path, json.dumps(report.to_structured(), indent=2) + "\n")
-            written.append(path)
+            files = {"report.json": to_json(report.to_structured())}
         elif format == DELIMITED:
-            for name, content in _delimited_files(report).items():
-                path = out / name
-                _write_atomic(path, content)
-                written.append(path)
-        elif format == SVG_MAP:
-            path = out / "map.svg"
-            _write_atomic(path, report.map_document(ipamap.SVG_FORMAT))
-            written.append(path)
+            files = _delimited_files(report)
+        else:
+            files = {"map.svg": report.map_document(ipamap.SVG_FORMAT)}
+        for name, content in files.items():
+            _write_atomic(out / name, content)
+            written.append(out / name)
     return written

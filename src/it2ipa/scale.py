@@ -63,6 +63,14 @@ def lookup(scale: LinguisticScale, label: str) -> IT2TrapFN:
     raise UnknownTermError(label, scale.labels)
 
 
+def value_problems(value: IT2TrapFN) -> list[str]:
+    """Why ``value`` cannot be a rating: its violations, or support outside [0, 1]."""
+    problems = value.violations()
+    if not (0.0 <= value.upper.a1 and value.upper.a4 <= 1.0):
+        problems.append("support outside [0, 1]")
+    return problems
+
+
 def validate_scale(scale: LinguisticScale) -> list[str]:
     """Check scale invariants; violations are returned as data, not raised.
 
@@ -80,10 +88,8 @@ def validate_scale(scale: LinguisticScale) -> list[str]:
             seen[key] = label
 
     for label, value in scale.terms:
-        for violation in value.violations():
+        for violation in value_problems(value):
             problems.append(f"term {label!r}: {violation}")
-        if value.upper.a1 < 0 or value.upper.a4 > 1:
-            problems.append(f"term {label!r}: support outside [0, 1]")
 
     crisp = [(label, dtrat(value)) for label, value in scale.terms]
     for (prev_label, prev), (label, cur) in zip(crisp, crisp[1:]):

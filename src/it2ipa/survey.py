@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import numbers
 from .errors import InputFileError
 from .numbers import IT2TrapFN
-from .scale import LinguisticScale, UnknownTermError, lookup
+from .scale import LinguisticScale, UnknownTermError, lookup, value_problems
 
 IMPORTANCE = "importance"
 PERFORMANCE = "performance"
@@ -51,16 +51,13 @@ class RatingMatrix:
     performance: list[list[str]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorProfile:
-    """A factor's aggregated fuzzy ratings plus later pipeline stages' results."""
+    """A factor's aggregated fuzzy importance and performance."""
 
     factor: Factor
     w_fuzzy: IT2TrapFN
     r_fuzzy: IT2TrapFN
-    e_w: float | None = None
-    e_r: float | None = None
-    region: object | None = None
 
 
 _DIGITS = re.compile(r"(\d+)")
@@ -115,6 +112,13 @@ def cvr(n_essential: int, n_panel: int) -> float:
     return (n_essential - half) / half
 
 
+def _sample_variance(values) -> float:
+    # two-pass form: the mean first, then the squared deviations from it
+    mean = math.fsum(values) / len(values)
+    deviations = [v - mean for v in values]
+    return math.fsum(d * d for d in deviations) / (len(values) - 1)
+
+
 def cronbach_alpha(scores) -> float:
     """Internal-consistency coefficient over a respondents x items grid.
 
@@ -122,35 +126,38 @@ def cronbach_alpha(scores) -> float:
     two respondents, two items, and nonzero total-score variance.
     """
     try:
-        grid = np.asarray(scores, dtype=float)
+        grid = [list(map(float, row)) for row in scores]
     except (TypeError, ValueError) as exc:
-        raise DegenerateDataError(f"scores grid is not numeric and rectangular: {exc}") from exc
-    if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
+        raise DegenerateDataError(f"scores grid is not numeric: {exc}") from exc
+    k = len(grid[0]) if grid else 0
+    if len(grid) < 2 or k < 2 or any(len(row) != k for row in grid):
         raise DegenerateDataError(
-            f"need a grid of >= 2 respondents x >= 2 items, got shape {grid.shape}"
+            f"need a rectangular grid of >= 2 respondents x >= 2 items, got {len(grid)} rows"
         )
-    item_variances = grid.var(axis=0, ddof=1)
-    total_variance = grid.sum(axis=1).var(ddof=1)
+    try:
+        item_variance = math.fsum(_sample_variance(column) for column in zip(*grid))
+        total_variance = _sample_variance([math.fsum(row) for row in grid])
+        if not math.isfinite(item_variance + total_variance):
+            raise OverflowError("a variance is not finite")
+    except (OverflowError, ValueError) as exc:
+        raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
     if total_variance <= 0:
         raise DegenerateDataError("total-score variance is zero")
-    k = grid.shape[1]
-    return float(k / (k - 1) * (1.0 - item_variances.sum() / total_variance))
+    return k / (k - 1) * (1.0 - item_variance / total_variance)
 
 
 # ---------------------------------------------------------------------------
 # Input files
 
-def _data_rows(path: Path):
-    """Yield (1-based line number, row) from a CSV, skipping comments/blanks."""
+def data_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """Stripped CSV rows with their line numbers; skips comments, blanks and a UTF-8 BOM."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputFileError(str(path), f"cannot read file: {exc}") from exc
     rows = []
     for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        if all(not cell.strip() for cell in row):
+        if all(not cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
             continue
         rows.append((lineno, [cell.strip() for cell in row]))
     return rows
@@ -185,7 +192,7 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
     appear with both facets and every cell must be filled.
     """
     path = Path(path)
-    rows = _data_rows(path)
+    rows = data_rows(path)
     if not rows:
         raise InputFileError(str(path), "empty ratings file: no header row")
     header_line, header = rows[0]
@@ -238,10 +245,10 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
 
     Layout: header ``factor_id[,name][,dimension],importance,performance`` with
     both fuzzy values in the canonical textual form. Values must be
-    structurally valid numbers.
+    structurally valid numbers with support inside [0, 1].
     """
     path = Path(path)
-    rows = _data_rows(path)
+    rows = data_rows(path)
     if not rows:
         raise InputFileError(str(path), "empty aggregated file: no header row")
     header_line, header = rows[0]
@@ -272,7 +279,7 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
                 value = IT2TrapFN.from_text(row[idx[facet]])
             except ValueError as exc:
                 raise InputFileError(str(path), f"factor {fid} {facet}: {exc}", row=lineno) from exc
-            problems = value.violations()
+            problems = value_problems(value)
             if problems:
                 raise InputFileError(
                     str(path), f"factor {fid} {facet}: {'; '.join(problems)}", row=lineno
@@ -328,13 +335,16 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
         grids = reliability.get("dimensions")
         if not isinstance(grids, dict):
             raise InputFileError(str(path), "reliability needs a 'dimensions' object")
-        try:
-            result.dimension_scores = {
-                str(dim): [[float(v) for v in row] for row in grid]
-                for dim, grid in grids.items()
-            }
-        except (TypeError, ValueError) as exc:
-            raise InputFileError(str(path), f"reliability grids must be numeric: {exc}") from exc
+        for dim, grid in grids.items():
+            try:
+                rows = [list(map(float, row)) for row in grid]
+                if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+                    raise ValueError("a score is not finite")
+            except (TypeError, ValueError) as exc:
+                raise InputFileError(
+                    str(path), f"dimension {dim!r}: reliability grid must be finite numbers: {exc}"
+                ) from exc
+            result.dimension_scores[str(dim)] = rows
         if "threshold" in reliability:
             result.alpha_threshold = float(reliability["threshold"])
     return result

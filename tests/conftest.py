@@ -14,10 +14,7 @@ def terms(scale):
     return {label: lookup(scale, label) for label in scale.labels}
 
 
-@pytest.fixture()
+@pytest.fixture(scope="session")
 def bundled_profiles():
-    """The bundled aggregated dataset, keyed by factor id (fuzzy fields only).
-
-    Function-scoped because pipeline stages fill profiles in place.
-    """
+    """The bundled aggregated dataset, keyed by factor id (immutable records)."""
     return {p.factor.id: p for p in parse_aggregated(fixtures.aggregated_path())}

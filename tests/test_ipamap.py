@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from it2ipa import (
     Factor,
-    FactorProfile,
     IT2TrapFN,
     MapThresholds,
     OutOfRangeError,
+    PlacedFactor,
     UnsupportedFormatError,
     dtrat,
     partition,
@@ -35,19 +35,21 @@ REGION_STRENGTH = ["x_5", "x_11", "x_16", "x_18"]
 REGION_BALANCED = ["x_1", "x_2", "x_3", "x_7", "x_10", "x_12", "x_15", "x_17"]
 
 
-@pytest.fixture()
+def placed(factor, w_fuzzy, r_fuzzy, e_w, e_r):
+    return PlacedFactor(factor, w_fuzzy, r_fuzzy, e_w, e_r, place(e_w, e_r, THIRDS))
+
+
+@pytest.fixture(scope="module")
 def placed_profiles(bundled_profiles):
-    profiles = []
-    for profile in bundled_profiles.values():
-        profile.e_w = dtrat(profile.w_fuzzy)
-        profile.e_r = dtrat(profile.r_fuzzy)
-        profiles.append(profile)
-    return profiles
+    return [
+        placed(p.factor, p.w_fuzzy, p.r_fuzzy, dtrat(p.w_fuzzy), dtrat(p.r_fuzzy))
+        for p in bundled_profiles.values()
+    ]
 
 
 def crisp_profile(fid, e_w, e_r):
     one = IT2TrapFN.crisp(0.5)
-    return FactorProfile(Factor(fid, fid, "d"), one, one, e_w=e_w, e_r=e_r)
+    return placed(Factor(fid, fid, "d"), one, one, e_w, e_r)
 
 
 class TestThresholds:
@@ -104,13 +106,13 @@ class TestPlace:
 
 class TestPartition:
     def test_comparison_mode_on_bundled_data(self, placed_profiles):
-        failure, success, balanced = partition(placed_profiles, THIRDS, "comparison")
+        failure, success, balanced = partition(placed_profiles, "comparison")
         assert [p.factor.id for p in failure] == COMPARISON_FAILURE
         assert [p.factor.id for p in success] == COMPARISON_SUCCESS
         assert balanced == []
 
     def test_region_mode_on_bundled_data(self, placed_profiles):
-        failure, success, balanced = partition(placed_profiles, THIRDS, "region")
+        failure, success, balanced = partition(placed_profiles, "region")
         assert [p.factor.id for p in failure] == REGION_WEAKNESS
         assert [p.factor.id for p in success] == REGION_STRENGTH
         assert [p.factor.id for p in balanced] == REGION_BALANCED
@@ -122,24 +124,18 @@ class TestPartition:
 
     def test_equal_values_are_balanced(self):
         profile = crisp_profile("f", 0.41, 0.41)
-        failure, success, balanced = partition([profile], THIRDS, "comparison")
+        failure, success, balanced = partition([profile], "comparison")
         assert (failure, success) == ([], [])
         assert balanced == [profile]
 
     def test_counts_sum_to_profile_count(self, placed_profiles):
         for mode in ("region", "comparison"):
-            parts = partition(placed_profiles, THIRDS, mode)
+            parts = partition(placed_profiles, mode)
             assert sum(len(part) for part in parts) == len(placed_profiles)
 
     def test_unknown_mode(self, placed_profiles):
         with pytest.raises(ValueError, match="mode"):
-            partition(placed_profiles, THIRDS, "majority")
-
-    def test_missing_crisp_values_rejected(self, bundled_profiles):
-        fresh = bundled_profiles["x_1"]
-        fresh.e_w = fresh.e_r = None
-        with pytest.raises(ValueError, match="crisp"):
-            partition([fresh], THIRDS, "region")
+            partition(placed_profiles, "majority")
 
 
 class TestRenderMap:

@@ -1,13 +1,21 @@
 """Pipeline orchestration, report emission, and the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import it2ipa
 from it2ipa import fixtures
 from it2ipa.cli import main
-from it2ipa.report import DELIMITED, PipelineConfig, STRUCTURED, SVG_MAP, emit, run_pipeline
+from it2ipa.report import (
+    DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, emit, reference_comparison,
+    run_pipeline, to_json,
+)
 
 RATINGS_OK = (
     "factor_id,name,dimension,facet,E1,E2\n"
@@ -84,6 +92,19 @@ class TestRunPipeline:
         # f1: importance (High+Medium)/2 > performance Low: a weakness in region mode
         assert [p.factor.id for p in report.failure_candidates] == ["f1"]
         assert [p.factor.id for p in report.success_candidates] == ["f2"]
+
+    @pytest.mark.parametrize("field", ["partition_mode", "cffs_mode"])
+    def test_unknown_mode_rejected_on_construction(self, field):
+        with pytest.raises(ValueError, match="unknown"):
+            PipelineConfig(**{field: "majority"})
+
+    def test_reference_comparison_numbers(self):
+        comparison = reference_comparison(run_default())
+        assert comparison["success"]["deviation"] <= 5e-3
+        assert comparison["failure"]["deviation"] <= 5e-3
+        assert len(comparison["success"]["reference_candidates"]) == 8
+        assert comparison["failure"]["candidates"] == ["x_4", "x_6", "x_8", "x_9", "x_13", "x_14"]
+        assert comparison["unlisted"] == ["x_4", "x_13", "x_17"]
 
     def test_both_inputs_rejected(self, tmp_path):
         path = tmp_path / "ratings.csv"
@@ -176,6 +197,21 @@ class TestEmit:
         with pytest.raises(ValueError, match="format"):
             emit(run_default(), tmp_path, ["yaml"])
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_files_follow_the_umask(self, tmp_path, umask, mode):
+        report = run_default()
+        previous = os.umask(umask)
+        try:
+            written = emit(report, tmp_path, REPORT_FORMATS)
+        finally:
+            os.umask(previous)
+        assert {p.stat().st_mode & 0o777 for p in written} == {mode}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+
+    def test_json_is_strict(self):
+        with pytest.raises(ValueError):
+            to_json({"alpha": float("nan")})
+
 
 class TestCli:
     def test_default_run_prints_structured_report(self, capsys):
@@ -246,6 +282,26 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["--thresholds", "0.9,0.1"])
         assert excinfo.value.code == 2
+
+    def test_zero_importance_support_in_comparison_mode_is_located(self, tmp_path, capsys):
+        # Low/Low importance has support starting at 0, the as_computed divisor
+        path = tmp_path / "ratings.csv"
+        path.write_text(
+            "factor_id,facet,E1,E2\n"
+            "f1,importance,Low,Low\n"
+            "f1,performance,Very Low,Low\n"
+        )
+        assert main(["--ratings", str(path), "--partition-mode", "comparison"]) == 2
+        diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
+        assert diagnostic["file"] == str(path)
+        assert "f1" in diagnostic["cause"] and "as_computed" in diagnostic["cause"]
+
+    def test_import_loads_no_numpy(self):
+        src = Path(it2ipa.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import it2ipa.cli, sys; assert 'numpy' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
 
     def test_cffs_mode_flag(self, capsys):
         assert main(["--cffs-mode", "as_written"]) == 0

@@ -20,6 +20,7 @@ from it2ipa import (
     parse_aggregated,
     parse_ratings,
 )
+from it2ipa import fixtures
 from it2ipa.errors import InputFileError
 from it2ipa.survey import factor_sort_key
 from helpers import assert_it2_close
@@ -156,6 +157,16 @@ class TestCronbachAlpha:
         with pytest.raises(DegenerateDataError):
             cronbach_alpha(grid)
 
+    @pytest.mark.parametrize("grid", [
+        [[1, 2], [3]],
+        [["a", "b"], ["c", "d"]],
+        [[1e200, 1], [1, 2e200]],  # variances overflow to a NaN coefficient
+        [[1e308, 1e308], [1, 2], [3, 1]],  # row sums overflow
+    ], ids=["ragged", "non-numeric", "overflow", "sum-overflow"])
+    def test_unusable_grids(self, grid):
+        with pytest.raises(DegenerateDataError):
+            cronbach_alpha(grid)
+
 
 def test_factor_sort_key_natural_order():
     ids = ["x_10", "x_2", "x_1", "x_18", "x_3"]
@@ -228,6 +239,11 @@ class TestParseRatings:
         with pytest.raises(InputFileError, match="cells"):
             parse_ratings(path)
 
+    def test_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text(RATINGS_CSV, encoding="utf-8-sig")
+        assert [f.id for f in parse_ratings(path).factors] == ["x_1", "x_2"]
+
 
 class TestParseAggregated:
     def test_bundled_dataset(self, bundled_profiles):
@@ -268,6 +284,28 @@ class TestParseAggregated:
         with pytest.raises(InputFileError, match="support"):
             parse_aggregated(path)
 
+    def test_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "agg.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + fixtures.aggregated_path().read_bytes())
+        assert len(parse_aggregated(path)) == 18
+
+    @pytest.mark.parametrize("value,cause", [
+        ("((0,0.1,0.2,1e400;1,1),(0,0.1,0.2,0.3;0.9,0.9))", "support"),  # overflows to inf
+        ("((0,0.1,0.2,0.3;1,1e400),(0,0.1,0.2,0.3;0.9,0.9))", "heights"),
+        ("((0,0.1,0.2,1.5;1,1),(0,0.1,0.2,0.3;0.9,0.9))", "support"),
+        ("((-0.5,0.1,0.2,0.3;1,1),(0,0.1,0.2,0.3;0.9,0.9))", "support"),
+    ])
+    def test_non_finite_or_out_of_range_rejected_with_row(self, tmp_path, terms, value, cause):
+        path = tmp_path / "agg.csv"
+        path.write_text(
+            "factor_id,importance,performance\n"
+            f'f1,"{terms["Low"].to_text()}","{terms["Low"].to_text()}"\n'
+            f'f2,"{value}","{terms["Low"].to_text()}"\n'
+        )
+        with pytest.raises(InputFileError, match=cause) as excinfo:
+            parse_aggregated(path)
+        assert (excinfo.value.file, excinfo.value.row) == (str(path), 3)
+
 
 class TestLoadPsychometrics:
     def test_full_document(self, tmp_path):
@@ -300,6 +338,16 @@ class TestLoadPsychometrics:
         path.write_text("[1, 2")
         with pytest.raises(InputFileError, match="invalid JSON"):
             load_psychometrics(path)
+
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "psy.json"
+        path.write_text(
+            '{"reliability": {"dimensions": {"Culture": [[1, 2], [2, %s], [3, 5]]}}}' % score
+        )
+        with pytest.raises(InputFileError, match="Culture.*not finite") as excinfo:
+            load_psychometrics(path)
+        assert excinfo.value.file == str(path)
 
     def test_missing_panel_size(self, tmp_path):
         path = tmp_path / "psy.json"
