@@ -12,9 +12,11 @@ tuples.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 
 class NegativeSupportError(ValueError):
@@ -231,6 +233,29 @@ def scalar_div(a: IT2TrapFN, m: int) -> IT2TrapFN:
         return Trapezoid(t.a1 / m, t.a2 / m, t.a3 / m, t.a4 / m, t.h1, t.h2)
 
     return IT2TrapFN(trap(a.upper), trap(a.lower))
+
+
+_TRAPEZOID_FIELDS = operator.attrgetter("a1", "a2", "a3", "a4", "h1", "h2")
+
+
+def mean(values) -> IT2TrapFN:
+    """The mean operator: endpoint sums over ``values`` divided by their count.
+
+    ``values`` is a non-empty sequence. Each endpoint is summed left to right, seeded with the first value, and
+    heights are the minimum over ``values``, so the result equals
+    ``scalar_div(reduce(add, values), len(values))`` bit for bit while
+    building no partial sums. (Builtin ``sum`` is not used: from Python 3.12
+    it compensates rounding and so can differ in the last ulp.)
+    """
+    m = len(values)
+    if m < 1:
+        raise InvalidDivisorError("the mean needs at least one value")
+
+    def trap(traps) -> Trapezoid:
+        *ends, h1, h2 = zip(*map(_TRAPEZOID_FIELDS, traps))
+        return Trapezoid(*(reduce(operator.add, column) / m for column in ends), min(h1), min(h2))
+
+    return IT2TrapFN(trap(v.upper for v in values), trap(v.lower for v in values))
 
 
 def one_minus(a: IT2TrapFN) -> IT2TrapFN:

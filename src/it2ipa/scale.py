@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .defuzz import dtrat
@@ -21,11 +21,23 @@ class UnknownTermError(KeyError):
         super().__init__(f"{prefix}unknown term {label!r}; known terms: {', '.join(vocabulary)}")
 
 
+def _key(label: str) -> str:
+    return label.strip().casefold()
+
+
 @dataclass(frozen=True)
 class LinguisticScale:
     """Ordered (label, value) pairs from the weakest to the strongest term."""
 
     terms: tuple[tuple[str, IT2TrapFN], ...]
+    # label key -> value of the first term with that key; derived, so not compared
+    _by_key: dict[str, IT2TrapFN] = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        by_key: dict[str, IT2TrapFN] = {}
+        for label, value in self.terms:
+            by_key.setdefault(_key(label), value)
+        object.__setattr__(self, "_by_key", by_key)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -56,11 +68,10 @@ def lookup(scale: LinguisticScale, label: str) -> IT2TrapFN:
     No fuzzy matching: anything that is not an exact term raises
     ``UnknownTermError`` listing the legal vocabulary.
     """
-    wanted = label.strip().casefold()
-    for known, value in scale.terms:
-        if known.strip().casefold() == wanted:
-            return value
-    raise UnknownTermError(label, scale.labels)
+    value = scale._by_key.get(_key(label))
+    if value is None:
+        raise UnknownTermError(label, scale.labels)
+    return value
 
 
 def value_problems(value: IT2TrapFN) -> list[str]:
@@ -81,7 +92,7 @@ def validate_scale(scale: LinguisticScale) -> list[str]:
     problems: list[str] = []
     seen: dict[str, str] = {}
     for label, _ in scale.terms:
-        key = label.strip().casefold()
+        key = _key(label)
         if key in seen:
             problems.append(f"duplicate label (case-insensitive): {label!r} vs {seen[key]!r}")
         else:
@@ -109,7 +120,7 @@ def load_scale(path: str | Path) -> LinguisticScale:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise InputFileError(str(path), f"cannot read scale file: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -71,8 +71,10 @@ def factor_sort_key(factor_id: str):
 def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfile]:
     """Average the experts' fuzzy ratings per factor and facet.
 
-    Implements the mean operator: the fuzzy sum over experts divided by the
-    expert count. Result heights are the minimum across experts.
+    Implements the mean operator (``numbers.mean``): the fuzzy sum over
+    experts, in expert order, divided by the expert count. Result heights are
+    the minimum across experts. An unknown label names its factor, expert and
+    facet; the first bad cell of a row is the one reported.
     """
     if not matrix.factors or not matrix.experts:
         raise EmptyMatrixError("rating matrix needs at least one factor and one expert")
@@ -87,17 +89,17 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
                 raise EmptyMatrixError(
                     f"factor {factor.id}: {facet} row is not dense ({len(row)} cells for {m} experts)"
                 )
-            total = None
-            for expert, label in zip(matrix.experts, row):
-                try:
-                    value = lookup(scale, label)
-                except UnknownTermError as exc:
-                    raise UnknownTermError(
-                        exc.label, exc.vocabulary,
-                        context=f"factor {factor.id}, expert {expert}, {facet}",
-                    ) from None
-                total = value if total is None else numbers.add(total, value)
-            means[facet] = numbers.scalar_div(total, m)
+            try:
+                values = [lookup(scale, label) for label in row]
+            except UnknownTermError as exc:
+                # the lookups stop at the first bad cell; an earlier cell with
+                # the same text would have failed first
+                expert = matrix.experts[row.index(exc.label)]
+                raise UnknownTermError(
+                    exc.label, exc.vocabulary,
+                    context=f"factor {factor.id}, expert {expert}, {facet}",
+                ) from None
+            means[facet] = numbers.mean(values)
         profiles.append(FactorProfile(factor, means[IMPORTANCE], means[PERFORMANCE]))
     return profiles
 
@@ -303,11 +305,30 @@ class Psychometrics:
     alpha_threshold: float = 0.7
 
 
+def _section(path: Path, doc: dict, name: str) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise InputFileError(str(path), f"{name} must be a JSON object")
+    return section
+
+
+def _threshold(path: Path, section: dict, name: str, default: float) -> float:
+    if "threshold" not in section:
+        return default
+    try:
+        threshold = float(section["threshold"])
+        if not math.isfinite(threshold):
+            raise ValueError(f"{threshold} is not finite")
+    except (TypeError, ValueError) as exc:
+        raise InputFileError(str(path), f"{name} threshold must be a finite number: {exc}") from exc
+    return threshold
+
+
 def load_psychometrics(path: str | Path) -> Psychometrics:
     """Read the psychometrics JSON document (both sections optional)."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise InputFileError(str(path), f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -316,7 +337,7 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
         raise InputFileError(str(path), "document must be a JSON object")
 
     result = Psychometrics()
-    content = doc.get("content_validity", {})
+    content = _section(path, doc, "content_validity")
     if content:
         try:
             result.panel_size = int(content["panel_size"])
@@ -327,10 +348,9 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
             raise InputFileError(
                 str(path), f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
             ) from exc
-        if "threshold" in content:
-            result.cvr_threshold = float(content["threshold"])
+        result.cvr_threshold = _threshold(path, content, "content_validity", result.cvr_threshold)
 
-    reliability = doc.get("reliability", {})
+    reliability = _section(path, doc, "reliability")
     if reliability:
         grids = reliability.get("dimensions")
         if not isinstance(grids, dict):
@@ -345,6 +365,5 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
                     str(path), f"dimension {dim!r}: reliability grid must be finite numbers: {exc}"
                 ) from exc
             result.dimension_scores[str(dim)] = rows
-        if "threshold" in reliability:
-            result.alpha_threshold = float(reliability["threshold"])
+        result.alpha_threshold = _threshold(path, reliability, "reliability", result.alpha_threshold)
     return result

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from hypothesis import strategies as st
 
-from it2ipa import IT2TrapFN, it2
+from it2ipa import IT2TrapFN, add, it2, scalar_div
 
 
 def random_it2(rng: random.Random, lo: float = 0.0, hi: float = 1.0,
@@ -37,6 +38,11 @@ def it2_values(draw, lo: float = 0.0, hi: float = 1.0, unit_heights: bool = Fals
         lh1 = draw(st.floats(min_value=0.05, max_value=uh1, **finite))
         lh2 = draw(st.floats(min_value=0.05, max_value=uh2, **finite))
     return it2((*u, uh1, uh2), (*low, lh1, lh2))
+
+
+def sequential_mean(values) -> IT2TrapFN:
+    """The mean as its definition reads: pairwise fuzzy sums, then one division."""
+    return scalar_div(reduce(add, values), len(values))
 
 
 def endpoints8(a: IT2TrapFN) -> tuple[float, ...]:

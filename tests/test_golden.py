@@ -1,8 +1,12 @@
-"""Byte-for-byte regression of every output on the bundled dataset.
+"""Byte-for-byte regression of every output on two inputs.
 
 ``golden/`` holds the files of ``it2ipa --out DIR --format structured
---format delimited --format svg-map``. The report names its input by
-absolute path, so the golden copy carries a placeholder in its place.
+--format delimited --format svg-map`` on the bundled (already aggregated)
+dataset. ``golden_ratings/out/`` holds the same files for ``--ratings
+golden_ratings/ratings.csv``: 20 factors x 100 experts of seeded linguistic
+ratings in mixed case and padding, so the run goes through ``lookup`` and
+``aggregate``. A report names its input by path, so the golden copies carry
+a placeholder in its place.
 """
 
 import json
@@ -11,22 +15,35 @@ from pathlib import Path
 from it2ipa import fixtures
 from it2ipa.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden"
+GOLDEN_RATINGS = HERE / "golden_ratings"
 FORMATS = ["--format", "structured", "--format", "delimited", "--format", "svg-map"]
 
 
-def portable(data: bytes) -> bytes:
-    here = json.dumps(str(fixtures.aggregated_path())).encode()
-    return data.replace(here, json.dumps("<bundled>").encode())
+def portable(data: bytes, source: Path, placeholder: str) -> bytes:
+    return data.replace(json.dumps(str(source)).encode(), json.dumps(placeholder).encode())
+
+
+def assert_outputs_match(golden: Path, source: Path, placeholder: str, args: list[str],
+                         out_dir: Path, capsys) -> None:
+    assert main(args) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert portable(stdout, source, placeholder) == (golden / "report.json").read_bytes()
+
+    assert main([*args, "--out", str(out_dir), *FORMATS]) == 0
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    for name in names:
+        written = portable((out_dir / name).read_bytes(), source, placeholder)
+        assert written == (golden / name).read_bytes(), name
 
 
 def test_outputs_match_golden(tmp_path, capsys):
-    assert main([]) == 0
-    stdout = capsys.readouterr().out.encode()
-    assert portable(stdout) == (GOLDEN / "report.json").read_bytes()
+    assert_outputs_match(GOLDEN, fixtures.aggregated_path(), "<bundled>", [], tmp_path, capsys)
 
-    assert main(["--out", str(tmp_path), *FORMATS]) == 0
-    names = sorted(p.name for p in GOLDEN.iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == names
-    for name in names:
-        assert portable((tmp_path / name).read_bytes()) == (GOLDEN / name).read_bytes(), name
+
+def test_ratings_outputs_match_golden(tmp_path, capsys):
+    ratings = GOLDEN_RATINGS / "ratings.csv"
+    assert_outputs_match(GOLDEN_RATINGS / "out", ratings, "<ratings>",
+                         ["--ratings", str(ratings)], tmp_path, capsys)

@@ -1,5 +1,6 @@
 """Arithmetic on interval type-2 trapezoids: frozen cases and algebra laws."""
 
+import math
 import random
 
 import pytest
@@ -16,12 +17,13 @@ from it2ipa import (
     add,
     div,
     it2,
+    mean,
     mul,
     one_minus,
     scalar_div,
     sub,
 )
-from helpers import assert_it2_close, it2_values, max_endpoint_gap, random_it2
+from helpers import assert_it2_close, it2_values, max_endpoint_gap, random_it2, sequential_mean
 
 CRISP_ZERO = IT2TrapFN.crisp(0.0)
 CRISP_ONE = IT2TrapFN.crisp(1.0)
@@ -196,6 +198,31 @@ class TestScalarDiv:
         result = scalar_div(a, m)
         assert result.upper.heights == a.upper.heights
         assert result.lower.heights == a.lower.heights
+
+
+class TestMean:
+    @given(st.data(), st.lists(it2_values(), min_size=1, max_size=50))
+    def test_equals_sequential_sum_then_division_exactly(self, data, values):
+        values = data.draw(st.permutations(values))
+        assert mean(values) == sequential_mean(values)
+
+    def test_mixed_terms_exactly(self, terms):
+        values = [terms[label] for label in ("High", "Low", "Very High", "Medium", "High")] * 20
+        assert mean(values) == sequential_mean(values)
+
+    def test_heights_are_the_minimum(self):
+        values = [it2((0, 0, 0, 0, 0.7, 1), (0, 0, 0, 0, 0.5, 0.9)),
+                  it2((0, 0, 0, 0, 1, 0.6), (0, 0, 0, 0, 0.8, 0.3))]
+        result = mean(values)
+        assert result.upper.heights == (0.7, 0.6) and result.lower.heights == (0.5, 0.3)
+
+    def test_negative_zero_survives(self):
+        result = mean([IT2TrapFN.crisp(-0.0)] * 3)
+        assert all(math.copysign(1.0, v) == -1.0 for v in result.upper.endpoints)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidDivisorError):
+            mean([])
 
 
 class TestOneMinus:

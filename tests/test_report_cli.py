@@ -296,6 +296,20 @@ class TestCli:
         assert diagnostic["file"] == str(path)
         assert "f1" in diagnostic["cause"] and "as_computed" in diagnostic["cause"]
 
+    @pytest.mark.parametrize("doc", [
+        {"reliability": [1]},
+        {"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 3}, "threshold": [1]}},
+        {"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 3}, "threshold": "abc"}},
+        {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": "nan"}},
+    ])
+    def test_malformed_psychometrics_diagnostic_names_the_file(self, tmp_path, capsys, doc):
+        path = tmp_path / "psy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--psychometrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert json.loads(err.removeprefix("error: "))["file"] == str(path)
+
     def test_import_loads_no_numpy(self):
         src = Path(it2ipa.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}

@@ -91,6 +91,12 @@ class TestLoadScale:
         assert loaded.labels == scale.labels
         assert lookup(loaded, "medium") == lookup(scale, "Medium")
 
+    def test_byte_order_mark_accepted(self, tmp_path, scale):
+        path = tmp_path / "scale.json"
+        terms = [{"label": label, "value": value.to_text()} for label, value in scale.terms]
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"terms": terms}).encode())
+        assert load_scale(path) == scale
+
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "scale.json"
         path.write_text("{not json")

@@ -20,10 +20,10 @@ from it2ipa import (
     parse_aggregated,
     parse_ratings,
 )
-from it2ipa import fixtures
+from it2ipa import fixtures, lookup
 from it2ipa.errors import InputFileError
 from it2ipa.survey import factor_sort_key
-from helpers import assert_it2_close
+from helpers import assert_it2_close, sequential_mean
 
 
 def matrix_of(rows, experts=("E1", "E2", "E3")):
@@ -79,6 +79,25 @@ class TestAggregate:
             aggregate(matrix, scale)
         message = str(excinfo.value)
         assert "x_9" in message and "E2" in message and "importance" in message
+
+    def test_unknown_term_names_the_first_bad_cell(self, scale):
+        matrix = matrix_of({"f": (["Low"] * 3, ["Low", "Mid", "Hgh"])})
+        with pytest.raises(UnknownTermError, match="expert E2, performance") as excinfo:
+            aggregate(matrix, scale)
+        assert excinfo.value.label == "Mid"
+
+    def test_equals_sequential_oracle_exactly(self, scale):
+        rng = random.Random(11)
+        spellings = (str, str.lower, str.upper, lambda s: f"  {s} ")
+        experts = [f"e{j}" for j in range(37)]
+        rows = {
+            f"f{i}": tuple([rng.choice(spellings)(rng.choice(scale.labels)) for _ in experts]
+                           for _ in range(2))
+            for i in range(6)
+        }
+        for profile in aggregate(matrix_of(rows, experts), scale):
+            for labels, value in zip(rows[profile.factor.id], (profile.w_fuzzy, profile.r_fuzzy)):
+                assert value == sequential_mean([lookup(scale, label) for label in labels])
 
     def test_empty_matrix_rejected(self, scale):
         with pytest.raises(EmptyMatrixError):
@@ -348,6 +367,12 @@ class TestLoadPsychometrics:
         with pytest.raises(InputFileError, match="Culture.*not finite") as excinfo:
             load_psychometrics(path)
         assert excinfo.value.file == str(path)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "psy.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+            {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}}}).encode())
+        assert load_psychometrics(path).dimension_scores == {"Culture": [[1.0, 2.0], [2.0, 3.0]]}
 
     def test_missing_panel_size(self, tmp_path):
         path = tmp_path / "psy.json"
