@@ -4,7 +4,7 @@ by stage, how closely each reference table is reproduced."""
 
 import argparse
 
-from it2ipa import fixtures
+from it2ipa import fixtures, render_text
 from it2ipa.report import REPORT_FORMATS, PipelineConfig, emit, reference_comparison, run_pipeline
 from it2ipa.survey import factor_sort_key
 
@@ -47,7 +47,7 @@ def main() -> int:
     print()
 
     print("== Map ==")
-    print(report.map_document("text"))
+    print(render_text(report.map))
 
     print("== Notes ==")
     for i, note in enumerate(report.notes, start=1):

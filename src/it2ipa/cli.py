@@ -6,12 +6,10 @@ import argparse
 import json
 import sys
 
-from . import fixtures, ipamap, report as report_mod, scoring
+from . import ipamap, report as report_mod, scoring
 from .errors import InputFileError
 from .ipamap import MapThresholds
 from .report import PipelineConfig, REPORT_FORMATS, emit, run_pipeline
-from .scale import UnknownTermError
-from .survey import EmptyMatrixError
 
 
 def _thresholds(text: str) -> MapThresholds:
@@ -80,10 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     except InputFileError as exc:
         return _diagnostic(exc.file, exc.row, exc.cause)
-    except (UnknownTermError, EmptyMatrixError) as exc:
-        source = args.ratings or args.aggregated or str(fixtures.aggregated_path())
-        cause = exc.args[0] if exc.args else str(exc)
-        return _diagnostic(source, None, str(cause))
     except ValueError as exc:
         return _diagnostic(None, None, str(exc))
 

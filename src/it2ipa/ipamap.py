@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
-from .survey import FactorProfile, factor_sort_key
+from .survey import FactorProfile
 
 BANDS = ("low", "medium", "high")
 WEAKNESS = "weakness"
@@ -15,17 +14,9 @@ STRENGTH = "strength"
 REGION_MODE = "region"
 COMPARISON_MODE = "comparison"
 
-TEXT_FORMAT = "text"
-SVG_FORMAT = "svg"
-STRUCTURED_FORMAT = "structured"
-
 
 class OutOfRangeError(ValueError):
     """A crisp coordinate outside [0, 1]."""
-
-
-class UnsupportedFormatError(ValueError):
-    """An unknown map rendering format."""
 
 
 @dataclass(frozen=True)
@@ -96,12 +87,12 @@ def partition(
 
     ``region`` mode follows the map zone; ``comparison`` mode compares the
     crisp values directly (importance above performance means a failure
-    candidate). Output lists are ordered by factor id.
+    candidate). Each output list keeps the order of ``profiles``.
     """
     if mode not in (REGION_MODE, COMPARISON_MODE):
         raise ValueError(f"mode must be '{REGION_MODE}' or '{COMPARISON_MODE}', got {mode!r}")
     parts: dict[str, list[PlacedFactor]] = {WEAKNESS: [], STRENGTH: [], BALANCED: []}
-    for profile in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
+    for profile in profiles:
         zone = profile.region.zone if mode == REGION_MODE else _zone(profile.e_w - profile.e_r)
         parts[zone].append(profile)
     return parts[WEAKNESS], parts[STRENGTH], parts[BALANCED]
@@ -111,33 +102,15 @@ def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
     """The map as data: cut points, then the nine cells (high importance first) with factors."""
     cells = [MapRegion(i, p, _zone_of(i, p)) for i in reversed(BANDS) for p in BANDS]
     regions = {cell: {**asdict(cell), "factors": []} for cell in cells}
-    for profile in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
+    for profile in profiles:
         regions[profile.region]["factors"].append(
             {"id": profile.factor.id, "importance": profile.e_w, "performance": profile.e_r}
         )
     return {"thresholds": [thresholds.t1, thresholds.t2], "regions": list(regions.values())}
 
 
-def render_map(
-    profiles: list[PlacedFactor],
-    thresholds: MapThresholds,
-    format: str = TEXT_FORMAT,
-) -> str:
-    """Render the map as ``text``, ``svg``, or ``structured`` (JSON) document.
-
-    Output is a pure function of the inputs, so identical calls give
-    byte-identical documents.
-    """
-    if format == TEXT_FORMAT:
-        return _render_text(build_map(profiles, thresholds))
-    if format == SVG_FORMAT:
-        return _render_svg(profiles, thresholds)
-    if format == STRUCTURED_FORMAT:
-        return json.dumps(build_map(profiles, thresholds), indent=2, allow_nan=False) + "\n"
-    raise UnsupportedFormatError(f"unsupported map format: {format!r}")
-
-
-def _render_text(doc: dict) -> str:
+def render_text(doc: dict) -> str:
+    """The map document of ``build_map`` as a fixed-width text grid."""
     content = {
         (r["importance_band"], r["performance_band"]): " ".join(f["id"] for f in r["factors"])
         for r in doc["regions"]
@@ -162,7 +135,8 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(profiles, thresholds) -> str:
+def render_svg(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
+    """The map as a self-contained SVG scatter over the band grid, points in input order."""
     size, margin = 500.0, 70.0
     width = height = size + 2 * margin
 
@@ -206,7 +180,7 @@ def _render_svg(profiles, thresholds) -> str:
         f'<text x="15" y="{margin + size / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 15 {margin + size / 2:.2f})">importance</text>'
     )
-    for profile in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
+    for profile in profiles:
         x, y = sx(profile.e_r), sy(profile.e_w)
         parts.append(f'<circle class="pt" cx="{x}" cy="{y}" r="3"/>')
         parts.append(f'<text x="{float(x) + 5:.2f}" y="{float(y) - 4:.2f}">{profile.factor.id}</text>')

@@ -16,13 +16,14 @@ from .defuzz import dtrat
 from .errors import InputFileError
 from .ipamap import MapThresholds, PlacedFactor
 from .numbers import DivisorSpansZeroError
-from .scale import default_scale, load_scale
+from .scale import UnknownTermError, default_scale, load_scale
 from .scoring import RankedFactor
 from .survey import (
     Psychometrics,
     cronbach_alpha,
     cvr,
     DegenerateDataError,
+    EmptyMatrixError,
     InvalidCountsError,
     aggregate,
     factor_sort_key,
@@ -66,7 +67,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """All pipeline results. ``to_structured`` mirrors the emitted JSON schema."""
+    """All pipeline results, ``profiles`` in factor-id order. ``to_structured`` mirrors the JSON."""
 
     config: PipelineConfig
     scale_source: str
@@ -81,9 +82,6 @@ class Report:
     psychometrics: dict | None
     map: dict
     notes: tuple[str, ...] = ()
-
-    def map_document(self, format: str) -> str:
-        return ipamap.render_map(self.profiles, self.config.thresholds, format)
 
     def to_structured(self) -> dict:
         aggregated = [
@@ -238,7 +236,7 @@ def reference_comparison(report: Report) -> dict:
                 )
                 for p in report.profiles if p.factor.id in scores[kind]
             ),
-            "candidates": sorted((p.factor.id for p in candidates), key=factor_sort_key),
+            "candidates": [p.factor.id for p in candidates],
             "reference_candidates": sorted(scores[kind], key=factor_sort_key),
             "order": [rf.factor.id for rf in ranking],
             "reference_order": [fid for fid, _ in rankings[kind]],
@@ -326,9 +324,12 @@ def run_pipeline(
 
     used_bundled = False
     if ratings_path is not None:
-        matrix = parse_ratings(ratings_path)
-        profiles = aggregate(matrix, scale)
         input_source = str(ratings_path)
+        matrix = parse_ratings(ratings_path)
+        try:
+            profiles = aggregate(matrix, scale)
+        except (UnknownTermError, EmptyMatrixError) as exc:
+            raise InputFileError(input_source, exc.args[0]) from exc
     else:
         if aggregated_path is None:
             aggregated_path = fixtures.aggregated_path()
@@ -358,6 +359,10 @@ def run_pipeline(
             raise InputFileError(
                 input_source, f"factor {p.factor.id}: {config.cffs_mode} failure score: {exc}"
             ) from exc
+    try:
+        failure_ranking = scoring.rank_order(failure_scores)
+    except scoring.NonFiniteScoreError as exc:  # importance support starting just above 0
+        raise InputFileError(input_source, str(exc)) from exc
 
     psychometrics = None
     if psychometrics_path is not None:
@@ -374,7 +379,7 @@ def run_pipeline(
         success_candidates=success_candidates,
         balanced=balanced,
         success_ranking=scoring.rank_order(success_scores),
-        failure_ranking=scoring.rank_order(failure_scores),
+        failure_ranking=failure_ranking,
         psychometrics=psychometrics,
         map=ipamap.build_map(placed, config.thresholds),
     )
@@ -433,7 +438,7 @@ def _delimited_files(report: Report) -> dict[str, str]:
                 for p in report.profiles
             ],
         ),
-        "map.txt": report.map_document(ipamap.TEXT_FORMAT),
+        "map.txt": ipamap.render_text(report.map),
         "notes.txt": "".join(f"{i}. {note}\n" for i, note in enumerate(report.notes, start=1)),
     }
     for kind, ranking in (("success", report.success_ranking), ("failure", report.failure_ranking)):
@@ -498,7 +503,7 @@ def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
         elif format == DELIMITED:
             files = _delimited_files(report)
         else:
-            files = {"map.svg": report.map_document(ipamap.SVG_FORMAT)}
+            files = {"map.svg": ipamap.render_svg(report.profiles, report.config.thresholds)}
         for name, content in files.items():
             _write_atomic(out / name, content)
             written.append(out / name)

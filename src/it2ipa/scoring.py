@@ -21,6 +21,10 @@ class MixedKindsError(ValueError):
     """rank_order was asked to order success and failure scores together."""
 
 
+class NonFiniteScoreError(ValueError):
+    """A score without a finite rank value: an endpoint is inf or NaN, or a term overflows."""
+
+
 @dataclass(frozen=True)
 class FuzzyScore:
     """A factor's fuzzy criticality score (success, or failure with its mode)."""
@@ -109,7 +113,10 @@ def _pair_deviation(x: float, y: float) -> float:
 
 def _quad_deviation(endpoints: tuple[float, float, float, float]) -> float:
     mean = sum(endpoints) / 4.0
-    return math.sqrt(sum((v - mean) ** 2 for v in endpoints) / 4.0)
+    try:
+        return math.sqrt(sum((v - mean) ** 2 for v in endpoints) / 4.0)
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
 
 
 def rank_value(a: IT2TrapFN) -> RankBreakdown:
@@ -149,11 +156,17 @@ def rank_order(scores: list[FuzzyScore]) -> list[RankedFactor]:
     """Order scores of one kind by descending rank value.
 
     Ties break by factor id ascending, so the ordering is total and
-    deterministic regardless of input permutation.
+    deterministic regardless of input permutation. A score that has no finite
+    rank value raises ``NonFiniteScoreError``.
     """
     kinds = {score.kind for score in scores}
     if len(kinds) > 1:
         raise MixedKindsError(f"cannot rank mixed kinds together: {sorted(kinds)}")
     ranked = [RankedFactor(s.factor, s, rank_value(s.value)) for s in scores]
+    for rf in ranked:
+        if not math.isfinite(rf.rank):
+            kind = f"{rf.score.mode} {rf.score.kind}" if rf.score.mode else rf.score.kind
+            raise NonFiniteScoreError(f"factor {rf.factor.id}: {kind} score: "
+                                      f"{rf.score.value.to_text()} has no finite rank value")
     ranked.sort(key=lambda rf: (-rf.rank, factor_sort_key(rf.factor.id)))
     return ranked

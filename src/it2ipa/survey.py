@@ -312,10 +312,19 @@ def _section(path: Path, doc: dict, name: str) -> dict:
     return section
 
 
+def _count(value) -> int:
+    """A JSON whole number; ``int()`` alone would truncate 9.7 and take ``true`` as 1."""
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _threshold(path: Path, section: dict, name: str, default: float) -> float:
     if "threshold" not in section:
         return default
     try:
+        if isinstance(section["threshold"], bool):
+            raise TypeError("a boolean is not a number")
         threshold = float(section["threshold"])
         if not math.isfinite(threshold):
             raise ValueError(f"{threshold} is not finite")
@@ -340,11 +349,11 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
     content = _section(path, doc, "content_validity")
     if content:
         try:
-            result.panel_size = int(content["panel_size"])
+            result.panel_size = _count(content["panel_size"])
             result.essential_counts = {
-                str(k): int(v) for k, v in dict(content["essential_counts"]).items()
+                str(k): _count(v) for k, v in dict(content["essential_counts"]).items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputFileError(
                 str(path), f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
             ) from exc

@@ -13,11 +13,12 @@ from it2ipa import (
     MapThresholds,
     OutOfRangeError,
     PlacedFactor,
-    UnsupportedFormatError,
+    build_map,
     dtrat,
     partition,
     place,
-    render_map,
+    render_svg,
+    render_text,
 )
 
 THIRDS = MapThresholds()
@@ -137,39 +138,52 @@ class TestPartition:
         with pytest.raises(ValueError, match="mode"):
             partition(placed_profiles, "majority")
 
+    @pytest.mark.parametrize("mode", ["region", "comparison"])
+    def test_keeps_input_order(self, placed_profiles, mode):
+        backwards = placed_profiles[::-1]
+        forwards = partition(placed_profiles, mode)
+        assert partition(backwards, mode) == tuple(part[::-1] for part in forwards)
+
+
+# the map documents a report writes, from placed profiles
+RENDERERS = {
+    "text": lambda profiles: render_text(build_map(profiles, THIRDS)),
+    "structured": lambda profiles: json.dumps(build_map(profiles, THIRDS)),
+    "svg": lambda profiles: render_svg(profiles, THIRDS),
+}
+
 
 class TestRenderMap:
     def test_empty_profiles_render_everywhere(self):
-        for fmt in ("text", "structured", "svg"):
-            document = render_map([], THIRDS, fmt)
-            assert document  # valid empty grid document
-        structured = json.loads(render_map([], THIRDS, "structured"))
+        for render in RENDERERS.values():
+            assert render([])  # valid empty grid document
+        structured = build_map([], THIRDS)
         assert len(structured["regions"]) == 9
         assert all(region["factors"] == [] for region in structured["regions"])
 
-    @pytest.mark.parametrize("fmt", ["text", "structured", "svg"])
+    @pytest.mark.parametrize("fmt", list(RENDERERS))
     def test_every_factor_exactly_once(self, placed_profiles, fmt):
-        document = render_map(placed_profiles, THIRDS, fmt)
+        document = RENDERERS[fmt](placed_profiles)
         for profile in placed_profiles:
             token = re.escape(profile.factor.id)
             assert len(re.findall(rf"\b{token}\b", document)) == 1, profile.factor.id
 
     def test_text_deterministic(self, placed_profiles):
-        first = render_map(placed_profiles, THIRDS, "text")
-        second = render_map(placed_profiles, THIRDS, "text")
+        first = RENDERERS["text"](placed_profiles)
+        second = RENDERERS["text"](placed_profiles)
         assert first == second
 
     def test_structured_regions_partition_profiles(self, placed_profiles):
-        structured = json.loads(render_map(placed_profiles, THIRDS, "structured"))
+        structured = build_map(placed_profiles, THIRDS)
         counts = [len(region["factors"]) for region in structured["regions"]]
         assert sum(counts) == len(placed_profiles)
+        # each cell lists its factors in input order
+        backwards = build_map(placed_profiles[::-1], THIRDS)
+        for cell, reversed_cell in zip(structured["regions"], backwards["regions"]):
+            assert reversed_cell["factors"] == cell["factors"][::-1]
 
     def test_svg_is_self_contained(self, placed_profiles):
-        svg = render_map(placed_profiles, THIRDS, "svg")
+        svg = render_svg(placed_profiles, THIRDS)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "http://www.w3.org/2000/svg" in svg
         assert "href" not in svg  # no external assets
-
-    def test_unsupported_format(self):
-        with pytest.raises(UnsupportedFormatError):
-            render_map([], THIRDS, "pdf")

@@ -12,6 +12,7 @@ import pytest
 import it2ipa
 from it2ipa import fixtures
 from it2ipa.cli import main
+from it2ipa.errors import InputFileError
 from it2ipa.report import (
     DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, emit, reference_comparison,
     run_pipeline, to_json,
@@ -105,6 +106,24 @@ class TestRunPipeline:
         assert len(comparison["success"]["reference_candidates"]) == 8
         assert comparison["failure"]["candidates"] == ["x_4", "x_6", "x_8", "x_9", "x_13", "x_14"]
         assert comparison["unlisted"] == ["x_4", "x_13", "x_17"]
+
+    def test_reversed_input_gives_the_same_tables(self, tmp_path):
+        # run_pipeline is the one place that puts the factors in id order
+        lines = fixtures.aggregated_path().read_text().splitlines(keepends=True)
+        data = [line for line in lines if line.strip() and not line.startswith("#")]
+        path = tmp_path / "reversed.csv"
+        path.write_text(data[0] + "".join(reversed(data[1:])))
+        forwards = run_default().to_structured()
+        backwards = run_pipeline(PipelineConfig(), aggregated_path=path).to_structured()
+        for key in ("aggregated", "defuzzified", "partition", "scores", "rankings", "map"):
+            assert backwards[key] == forwards[key], key
+
+    def test_unknown_term_in_ratings_names_the_file(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text(RATINGS_OK.replace("Very High", "Very Hgh"))
+        with pytest.raises(InputFileError, match="Very Hgh") as excinfo:
+            run_pipeline(PipelineConfig(), ratings_path=path)
+        assert excinfo.value.file == str(path)
 
     def test_both_inputs_rejected(self, tmp_path):
         path = tmp_path / "ratings.csv"
@@ -263,6 +282,8 @@ class TestCli:
         assert main(["--ratings", str(path)]) == 2
         diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
         assert "Med" in diagnostic["cause"] and "f1" in diagnostic["cause"]
+        assert diagnostic["file"] == str(path)
+        assert diagnostic["row"] is None
 
     def test_malformed_aggregated_row_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "agg.csv"
@@ -296,11 +317,34 @@ class TestCli:
         assert diagnostic["file"] == str(path)
         assert "f1" in diagnostic["cause"] and "as_computed" in diagnostic["cause"]
 
+    # importance support starting just above 0: the as_computed score (performance /
+    # importance) overflows the rank value at 1e-200 and is infinite at 1e-320
+    @pytest.mark.parametrize("start", ["1e-200", "1e-320"])
+    def test_tiny_importance_support_is_located(self, tmp_path, capsys, start):
+        path = tmp_path / "agg.csv"
+        path.write_text(
+            "factor_id,importance,performance\n"
+            f'f1,"(({start},0.9,0.9,1.0;1,1),(0.5,0.9,0.9,0.95;0.9,0.9))",'
+            '"((0,0,0.1,0.2;1,1),(0.05,0.05,0.05,0.1;0.9,0.9))"\n'
+        )
+        assert main(["--aggregated", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        diagnostic = json.loads(err.removeprefix("error: "))
+        assert diagnostic["file"] == str(path)
+        assert "f1" in diagnostic["cause"] and "as_computed" in diagnostic["cause"]
+
     @pytest.mark.parametrize("doc", [
         {"reliability": [1]},
         {"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 3}, "threshold": [1]}},
         {"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 3}, "threshold": "abc"}},
         {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": "nan"}},
+        {"content_validity": {"panel_size": 11.9, "essential_counts": {"x_1": 9}}},
+        {"content_validity": {"panel_size": 11, "essential_counts": {"x_1": 9.7}}},
+        {"content_validity": {"panel_size": 11, "essential_counts": {"x_1": True}}},
+        {"content_validity": {"panel_size": 11, "essential_counts": {"x_1": "9"}}},
+        {"content_validity": {"panel_size": 11, "essential_counts": {"x_1": 9}, "threshold": True}},
+        {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": False}},
     ])
     def test_malformed_psychometrics_diagnostic_names_the_file(self, tmp_path, capsys, doc):
         path = tmp_path / "psy.json"
@@ -316,6 +360,21 @@ class TestCli:
         code = "import it2ipa.cli, sys; assert 'numpy' not in sys.modules"
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
+
+    def test_reproduce_tables_script_runs(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        result = subprocess.run(
+            [sys.executable, str(root / "scripts" / "reproduce_tables.py"), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "== Map ==" in result.stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "aggregated.csv", "defuzzified.csv", "map.svg", "map.txt", "notes.txt",
+            "ranking_failure.csv", "ranking_success.csv", "report.json",
+            "scores_failure.csv", "scores_success.csv",
+        ]
 
     def test_cffs_mode_flag(self, capsys):
         assert main(["--cffs-mode", "as_written"]) == 0

@@ -21,6 +21,7 @@ from it2ipa import (
     rank_value,
     success_score,
 )
+from it2ipa.scoring import NonFiniteScoreError
 from helpers import assert_it2_close, it2_values, random_it2
 
 F = Factor("f", "f", "d")
@@ -194,3 +195,12 @@ class TestRankOrder:
         ]
         with pytest.raises(MixedKindsError):
             rank_order(scores)
+
+    # 1e200 overflows the squared deviations of the rank value; inf makes it NaN
+    @pytest.mark.parametrize("top", [1e200, float("inf")])
+    def test_score_without_finite_rank_rejected(self, terms, top):
+        huge = FuzzyScore(F, "failure", it2((0, 0, 0.1, top, 1, 1), (0, 0, 0, 0.1, 1, 1)),
+                          mode="as_computed")
+        fine = FuzzyScore(Factor("g", "g", "d"), "failure", terms["Low"], mode="as_computed")
+        with pytest.raises(NonFiniteScoreError, match="factor f: as_computed failure score"):
+            rank_order([fine, huge])
