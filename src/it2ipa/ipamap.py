@@ -183,6 +183,7 @@ def render_svg(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
     for profile in profiles:
         x, y = sx(profile.e_r), sy(profile.e_w)
         parts.append(f'<circle class="pt" cx="{x}" cy="{y}" r="3"/>')
-        parts.append(f'<text x="{float(x) + 5:.2f}" y="{float(y) - 4:.2f}">{profile.factor.id}</text>')
+        label = profile.factor.id.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f'<text x="{float(x) + 5:.2f}" y="{float(y) - 4:.2f}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

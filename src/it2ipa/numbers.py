@@ -16,7 +16,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 
 class NegativeSupportError(ValueError):
@@ -74,11 +74,17 @@ _TRAP = rf"\(\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*;\s*({_N
 _CANONICAL = re.compile(rf"^\s*\(\s*{_TRAP}\s*,\s*{_TRAP}\s*\)\s*$")
 
 
-def _fmt(value: float, decimals: int | None) -> str:
-    if decimals is None:
-        return repr(float(value))
-    text = f"{value:.{decimals}f}".rstrip("0").rstrip(".")
-    return "0" if text in ("", "-", "-0") else text
+_TRAPEZOID_FIELDS = operator.attrgetter("a1", "a2", "a3", "a4", "h1", "h2")
+_TEXT = "(({0},{0},{0},{0};{0},{0}),({0},{0},{0},{0};{0},{0}))"
+_EXACT_TEXT = _TEXT.format("%r")
+# Display rounding: drop the zeros that end a number with a point (and a bare point); -0 is 0.
+_TRAILING_ZEROS = re.compile(r"\.?0+(?=[,;)])")
+_NEGATIVE_ZERO = re.compile(r"-0(?=[,;)])")
+
+
+@cache
+def _rounded_text(decimals: int) -> str:
+    return _TEXT.format(f"%.{decimals}f")
 
 
 @dataclass(frozen=True)
@@ -103,13 +109,14 @@ class IT2TrapFN:
         return cls(Trapezoid(*nums[:6]), Trapezoid(*nums[6:]))
 
     def to_text(self, decimals: int | None = None) -> str:
-        """Render the canonical textual form; ``decimals`` enables display rounding."""
-        parts = []
-        for t in (self.upper, self.lower):
-            ends = ",".join(_fmt(v, decimals) for v in t.endpoints)
-            hs = ",".join(_fmt(v, decimals) for v in t.heights)
-            parts.append(f"({ends};{hs})")
-        return f"({parts[0]},{parts[1]})"
+        """The canonical text, exact or rounded to ``decimals`` places (no trailing zeros, no -0)."""
+        values = _TRAPEZOID_FIELDS(self.upper) + _TRAPEZOID_FIELDS(self.lower)
+        if decimals is None:
+            return _EXACT_TEXT % tuple(map(float, values))
+        text = _rounded_text(decimals) % values
+        if decimals > 0:  # every number has a point, so only zeros after it can end one
+            text = _TRAILING_ZEROS.sub("", text)
+        return _NEGATIVE_ZERO.sub("0", text) if "-0" in text else text
 
     @property
     def is_ordered(self) -> bool:
@@ -233,9 +240,6 @@ def scalar_div(a: IT2TrapFN, m: int) -> IT2TrapFN:
         return Trapezoid(t.a1 / m, t.a2 / m, t.a3 / m, t.a4 / m, t.h1, t.h2)
 
     return IT2TrapFN(trap(a.upper), trap(a.lower))
-
-
-_TRAPEZOID_FIELDS = operator.attrgetter("a1", "a2", "a3", "a4", "h1", "h2")
 
 
 def mean(values) -> IT2TrapFN:

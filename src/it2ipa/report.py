@@ -6,9 +6,11 @@ import csv
 import dataclasses
 import functools
 import io
-import json
+import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import fixtures, ipamap, scoring
@@ -106,31 +108,24 @@ class Report:
             for p in self.profiles
         ]
 
-        def ranking_rows(ranking: list[RankedFactor]) -> list[dict]:
-            rows = []
+        scores, rankings = {}, {}
+        for kind, ranking in (("success", self.success_ranking), ("failure", self.failure_ranking)):
+            scores[kind], rankings[kind] = [], []
             for position, rf in enumerate(ranking, start=1):
+                value = rf.score.value.to_text()
+                score = {"factor": rf.factor.id, "value": value}
                 row = {
                     "position": position,
                     "factor": rf.factor.id,
                     "rank": rf.rank,
-                    "value": rf.score.value.to_text(),
-                    "breakdown": dataclasses.asdict(rf.breakdown),
+                    "value": value,
+                    # the breakdown's fields hold floats only, so a shallow copy is ``asdict``
+                    "breakdown": dict(vars(rf.breakdown)),
                 }
                 if rf.score.mode is not None:
-                    row["mode"] = rf.score.mode
-                rows.append(row)
-            return rows
-
-        scores = {
-            "success": [
-                {"factor": rf.factor.id, "value": rf.score.value.to_text()}
-                for rf in self.success_ranking
-            ],
-            "failure": [
-                {"factor": rf.factor.id, "value": rf.score.value.to_text(), "mode": rf.score.mode}
-                for rf in self.failure_ranking
-            ],
-        }
+                    score["mode"] = row["mode"] = rf.score.mode
+                scores[kind].append(score)
+                rankings[kind].append(row)
         return {
             "schema": SCHEMA,
             "config": {
@@ -153,10 +148,7 @@ class Report:
                 "balanced": [p.factor.id for p in self.balanced],
             },
             "scores": scores,
-            "rankings": {
-                "success": ranking_rows(self.success_ranking),
-                "failure": ranking_rows(self.failure_ranking),
-            },
+            "rankings": rankings,
             "map": self.map,
             "psychometrics": self.psychometrics if self.psychometrics else {"provided": False},
             "notes": list(self.notes),
@@ -441,12 +433,14 @@ def _delimited_files(report: Report) -> dict[str, str]:
         "map.txt": ipamap.render_text(report.map),
         "notes.txt": "".join(f"{i}. {note}\n" for i, note in enumerate(report.notes, start=1)),
     }
-    for kind, ranking in (("success", report.success_ranking), ("failure", report.failure_ranking)):
+    for kind, candidates, ranking in (("success", report.success_candidates, report.success_ranking),
+                                      ("failure", report.failure_candidates, report.failure_ranking)):
+        ranked = {rf.factor.id: rf for rf in ranking}
         files[f"scores_{kind}.csv"] = _csv_text(
             ["factor_id", "kind", "mode", "value"],
             [
                 [rf.factor.id, kind, rf.score.mode or "", rf.score.value.to_text(nd)]
-                for rf in sorted(ranking, key=lambda rf: factor_sort_key(rf.factor.id))
+                for rf in (ranked[p.factor.id] for p in candidates)  # candidates are in id order
             ],
         )
         breakdown_fields = [f.name for f in dataclasses.fields(scoring.RankBreakdown) if f.name != "rank"]
@@ -480,9 +474,48 @@ def _delimited_files(report: Report) -> dict[str, str]:
     return files
 
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# How json.dumps writes a value of exactly this type; an instance of a subclass
+# is written as the first type here that it is an instance of (bool before int).
+_SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text,
+                bool: {True: "true", False: "false"}.get, int: int.__repr__,
+                type(None): {None: "null"}.get}
+
+
+def _json_text(value, indent: str, end: str = "") -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at ``indent``, followed by ``end``."""
+    if isinstance(value, dict):
+        pairs, brackets = zip([encode_basestring_ascii(k) + ": " for k in value], value.values()), "{}"
+    elif isinstance(value, (list, tuple)):
+        pairs, brackets = zip(repeat(""), value), "[]"
+    else:  # a document that is one scalar, or an instance of a subclass of one
+        for kind, write in _SCALAR_TEXT.items():
+            if isinstance(value, kind):
+                return write(value) + end
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return brackets + end
+    inner = indent + "  "
+    items = [key + (write(v) if (write := _SCALAR_TEXT.get(type(v))) else _json_text(v, inner))
+             for key, v in pairs]
+    # Brackets join the end items, so that only the join copies the whole text.
+    items[0] = f"{brackets[0]}\n{inner}{items[0]}"
+    items[-1] = f"{items[-1]}\n{indent}{brackets[1]}{end}"
+    return f",\n{inner}".join(items)
+
+
 def to_json(doc: dict) -> str:
-    """The text of a structured document as written: strict JSON, no NaN or infinity."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """The text of a structured document as written: strict JSON, no NaN or infinity.
+
+    ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for string keys,
+    without the pure-Python encoder that ``json.dumps`` uses when it indents.
+    """
+    return _json_text(doc, "", "\n")
 
 
 def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:

@@ -5,8 +5,15 @@
 dataset. ``golden_ratings/out/`` holds the same files for ``--ratings
 golden_ratings/ratings.csv``: 20 factors x 100 experts of seeded linguistic
 ratings in mixed case and padding, so the run goes through ``lookup`` and
-``aggregate``. A report names its input by path, so the golden copies carry
-a placeholder in its place.
+``aggregate``. ``golden_aggregated/out/`` holds them for ``--aggregated
+aggregated.csv --psychometrics psychometrics.json`` run inside
+``golden_aggregated/``: 40 pre-aggregated factors (the benchmark's
+aggregated generator, seed ``"golden"``, with non-ASCII, quoted, tab and
+backslash names and one ``-0.0`` endpoint) and CVR counts with three Likert
+grids, so the psychometrics section, the rank breakdowns and
+``psychometrics.csv`` are pinned too. A report names its input by path, so
+the golden copies carry a placeholder in its place, or the relative path the
+run was given.
 """
 
 import json
@@ -18,6 +25,7 @@ from it2ipa.cli import main
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
 GOLDEN_RATINGS = HERE / "golden_ratings"
+GOLDEN_AGGREGATED = HERE / "golden_aggregated"
 FORMATS = ["--format", "structured", "--format", "delimited", "--format", "svg-map"]
 
 
@@ -47,3 +55,11 @@ def test_ratings_outputs_match_golden(tmp_path, capsys):
     ratings = GOLDEN_RATINGS / "ratings.csv"
     assert_outputs_match(GOLDEN_RATINGS / "out", ratings, "<ratings>",
                          ["--ratings", str(ratings)], tmp_path, capsys)
+
+
+def test_aggregated_psychometrics_outputs_match_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_AGGREGATED)
+    source = Path("aggregated.csv")
+    assert_outputs_match(GOLDEN_AGGREGATED / "out", source, str(source),
+                         ["--aggregated", str(source), "--psychometrics", "psychometrics.json"],
+                         tmp_path, capsys)

@@ -29,6 +29,23 @@ CRISP_ZERO = IT2TrapFN.crisp(0.0)
 CRISP_ONE = IT2TrapFN.crisp(1.0)
 
 
+def per_value_text(value: IT2TrapFN, decimals: int | None) -> str:
+    """The canonical text formatted one value at a time, as the display rule reads.
+
+    The reference for ``to_text``; its zero strip holds only where every number
+    has a decimal point, so ``decimals`` is ``None`` or at least 1.
+    """
+    def fmt(v) -> str:
+        if decimals is None:
+            return repr(float(v))
+        text = f"{v:.{decimals}f}".rstrip("0").rstrip(".")
+        return "0" if text in ("", "-", "-0") else text
+
+    parts = [f"({','.join(map(fmt, t.endpoints))};{','.join(map(fmt, t.heights))})"
+             for t in (value.upper, value.lower)]
+    return f"({parts[0]},{parts[1]})"
+
+
 class TestConstruction:
     def test_height_range_enforced(self):
         with pytest.raises(ValueError, match="heights"):
@@ -60,6 +77,26 @@ class TestCanonicalText:
     def test_display_rounding(self):
         n = it2((0.0066, 1.0, 1.0, 2.7453, 1, 1), (0.0221, 1.0, 1.0, 1.9057, 0.9, 0.9))
         assert n.to_text(3) == "((0.007,1,1,2.745;1,1),(0.022,1,1,1.906;0.9,0.9))"
+
+    @pytest.mark.parametrize("value,decimals,text", [
+        (10.0, 0, "10"), (20, 0, "20"), (100.0, 2, "100"), (-0.5, 0, "0"), (-100.5, 1, "-100.5"),
+        (-0.0004, 3, "0"), (0.105, 4, "0.105"), (1e20, 1, "100000000000000000000"),
+    ])
+    def test_display_rounding_keeps_integer_zeros(self, value, decimals, text):
+        trapezoid = f"({text},{text},{text},{text};1,1)"
+        assert IT2TrapFN.crisp(value).to_text(decimals) == f"({trapezoid},{trapezoid})"
+
+    @given(
+        st.lists(st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                           st.sampled_from([-0.0, -0.0004, 0.0005, 0.00049, 1e-7, 100.0, 1e300])),
+                 min_size=8, max_size=8),
+        st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), st.just(1)),
+                 min_size=4, max_size=4),
+        st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+    )
+    def test_text_equals_per_value_formatting(self, ends, heights, decimals):
+        value = IT2TrapFN(Trapezoid(*ends[:4], *heights[:2]), Trapezoid(*ends[4:], *heights[2:]))
+        assert value.to_text(decimals) == per_value_text(value, decimals)
 
     @pytest.mark.parametrize("text", ["", "(1,2,3,4)", "((1,2,3;1,1),(1,2,3,4;1,1))", "nonsense"])
     def test_parse_rejects_malformed(self, text):

@@ -1,13 +1,18 @@
 """Pipeline orchestration, report emission, and the command-line interface."""
 
+import collections
+import enum
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import it2ipa
 from it2ipa import fixtures
@@ -230,6 +235,65 @@ class TestEmit:
     def test_json_is_strict(self):
         with pytest.raises(ValueError):
             to_json({"alpha": float("nan")})
+
+    def test_svg_escapes_factor_ids(self, tmp_path):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(RATINGS_OK.replace("f1,", '"a&b<c>",'))
+        emit(run_pipeline(PipelineConfig(), ratings_path=ratings), tmp_path, [SVG_MAP])
+        labels = [e.text for e in ElementTree.parse(tmp_path / "map.svg").iter()
+                  if e.tag.endswith("text")]
+        assert "a&b<c>" in labels and "f2" in labels
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308]),
+    st.text(), st.text(alphabet='"\\/\x00\x1f\x7f\n\té☃\U0001f600\ud800'),
+    st.sampled_from(["inf", "-inf", "nan"]),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestToJson:
+    @settings(max_examples=300)
+    @given(JSON_DOCS)
+    def test_equals_indented_dumps(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"a": {"b": (v,)}}],
+                             ids=["bare", "list", "nested"])
+    def test_non_finite_float_rejected(self, value, wrap):
+        with pytest.raises(ValueError, match="Out of range float"):
+            to_json(wrap(value))
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [{"a": 1j}], {1: "int key"}])
+    def test_unsupported_type_or_key_rejected(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)
+
+    def test_subclasses_written_as_their_base_type(self):
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Label(str):
+            pass
+
+        class Ratio(float):
+            pass
+
+        doc = {Label("k"): [Level.HIGH, Label("x"), Ratio(0.5), collections.OrderedDict(a=True)]}
+        assert to_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        with pytest.raises(ValueError):
+            to_json([Ratio("inf")])
 
 
 class TestCli:
