@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in written:
             print(path)
     else:
-        sys.stdout.write(report_mod.to_json(result.to_structured()))
+        sys.stdout.writelines(report_mod.json_chunks(result.sections()))
     return 0
 
 

@@ -69,7 +69,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """All pipeline results, ``profiles`` in factor-id order. ``to_structured`` mirrors the JSON."""
+    """All pipeline results, ``profiles`` in factor-id order. ``sections`` mirrors the JSON."""
 
     config: PipelineConfig
     scale_source: str
@@ -85,8 +85,25 @@ class Report:
     map: dict
     notes: tuple[str, ...] = ()
 
-    def to_structured(self) -> dict:
-        aggregated = [
+    def sections(self):
+        """Each top-level ``(key, value)`` of the structured report, in schema order.
+
+        A section is built when it is asked for, so a writer that consumes one
+        before it asks for the next holds one section at a time.
+        """
+        yield "schema", SCHEMA
+        yield "config", {
+            "scale": self.scale_source,
+            "thresholds": [self.config.thresholds.t1, self.config.thresholds.t2],
+            "partition_mode": self.config.partition_mode,
+            "cffs_mode": self.config.cffs_mode,
+        }
+        yield "input", {
+            "source": self.input_source,
+            "bundled": self.used_bundled_input,
+            "factor_count": len(self.profiles),
+        }
+        yield "aggregated", [
             {
                 "factor": p.factor.id,
                 "name": p.factor.name,
@@ -96,7 +113,7 @@ class Report:
             }
             for p in self.profiles
         ]
-        defuzzified = [
+        yield "defuzzified", [
             {
                 "factor": p.factor.id,
                 "importance": p.e_w,
@@ -107,6 +124,12 @@ class Report:
             }
             for p in self.profiles
         ]
+        yield "partition", {
+            "mode": self.config.partition_mode,
+            "failure_candidates": [p.factor.id for p in self.failure_candidates],
+            "success_candidates": [p.factor.id for p in self.success_candidates],
+            "balanced": [p.factor.id for p in self.balanced],
+        }
 
         scores, rankings = {}, {}
         for kind, ranking in (("success", self.success_ranking), ("failure", self.failure_ranking)):
@@ -126,33 +149,14 @@ class Report:
                     score["mode"] = row["mode"] = rf.score.mode
                 scores[kind].append(score)
                 rankings[kind].append(row)
-        return {
-            "schema": SCHEMA,
-            "config": {
-                "scale": self.scale_source,
-                "thresholds": [self.config.thresholds.t1, self.config.thresholds.t2],
-                "partition_mode": self.config.partition_mode,
-                "cffs_mode": self.config.cffs_mode,
-            },
-            "input": {
-                "source": self.input_source,
-                "bundled": self.used_bundled_input,
-                "factor_count": len(self.profiles),
-            },
-            "aggregated": aggregated,
-            "defuzzified": defuzzified,
-            "partition": {
-                "mode": self.config.partition_mode,
-                "failure_candidates": [p.factor.id for p in self.failure_candidates],
-                "success_candidates": [p.factor.id for p in self.success_candidates],
-                "balanced": [p.factor.id for p in self.balanced],
-            },
-            "scores": scores,
-            "rankings": rankings,
-            "map": self.map,
-            "psychometrics": self.psychometrics if self.psychometrics else {"provided": False},
-            "notes": list(self.notes),
-        }
+        yield "scores", scores
+        yield "rankings", rankings
+        yield "map", self.map
+        yield "psychometrics", self.psychometrics if self.psychometrics else {"provided": False}
+        yield "notes", list(self.notes)
+
+    def to_structured(self) -> dict:
+        return dict(self.sections())
 
 
 def _summarize_psychometrics(data: Psychometrics, source: str) -> dict:
@@ -381,14 +385,14 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 # Emission
 
-def _write_atomic(path: Path, content: str) -> None:
-    """Write through a new temp file and a rename; the umask sets the file mode."""
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the text ``chunks`` through a new temp file and a rename; the umask sets the file mode."""
     tmp_name = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp_name, "x", newline="") as handle:
-                handle.write(content)
+                handle.writelines(chunks)
             os.replace(tmp_name, path)
         except BaseException:
             tmp_name.unlink(missing_ok=True)
@@ -518,6 +522,21 @@ def to_json(doc: dict) -> str:
     return _json_text(doc, "", "\n")
 
 
+def json_chunks(sections):
+    """The text of ``to_json(dict(sections))`` for a non-empty ``sections``, in pieces.
+
+    Each section's value is rendered only when the one before it has been
+    handed on, so a caller that writes the pieces out as they come holds one
+    section's text at a time.
+    """
+    separator = "{\n  "
+    for key, value in sections:
+        yield f"{separator}{encode_basestring_ascii(key)}: "
+        yield _json_text(value, "  ")
+        separator = ",\n  "
+    yield "\n}\n"
+
+
 def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
     """Write the report to ``out_dir`` in each of ``formats``.
 
@@ -532,12 +551,12 @@ def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
     written: list[Path] = []
     for format in dict.fromkeys(formats):
         if format == STRUCTURED:
-            files = {"report.json": to_json(report.to_structured())}
+            files = {"report.json": json_chunks(report.sections())}
         elif format == DELIMITED:
-            files = _delimited_files(report)
+            files = {name: [text] for name, text in _delimited_files(report).items()}
         else:
-            files = {"map.svg": ipamap.render_svg(report.profiles, report.config.thresholds)}
-        for name, content in files.items():
-            _write_atomic(out / name, content)
+            files = {"map.svg": [ipamap.render_svg(report.profiles, report.config.thresholds)]}
+        for name, chunks in files.items():
+            _write_atomic(out / name, chunks)
             written.append(out / name)
     return written

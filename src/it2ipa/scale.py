@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .defuzz import dtrat
-from .errors import InputFileError
+from .errors import InputFileError, read_json
 from .numbers import IT2TrapFN, it2
 
 
@@ -119,13 +118,7 @@ def load_scale(path: str | Path) -> LinguisticScale:
     form. The loaded scale must pass ``validate_scale``.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
-    except OSError as exc:
-        raise InputFileError(str(path), f"cannot read scale file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFileError(str(path), f"invalid JSON: {exc}", row=exc.lineno) from exc
-
+    doc = read_json(path)
     terms_doc = doc.get("terms") if isinstance(doc, dict) else None
     if not isinstance(terms_doc, list) or not terms_doc:
         raise InputFileError(str(path), "scale file must contain a non-empty 'terms' list")

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import numbers
-from .errors import InputFileError
+from .errors import InputFileError, read_json, read_text
 from .numbers import IT2TrapFN
 from .scale import LinguisticScale, UnknownTermError, lookup, value_problems
 
@@ -152,16 +151,22 @@ def cronbach_alpha(scores) -> float:
 # Input files
 
 def data_rows(path: Path) -> list[tuple[int, list[str]]]:
-    """Stripped CSV rows with their line numbers; skips comments, blanks and a UTF-8 BOM."""
+    """Stripped CSV records with the line each starts on; skips comments, blanks and a UTF-8 BOM."""
+    rows, lineno = [], 1
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#"):
+                    rows.append((lineno, [cell.strip() for cell in row]))
+                lineno = reader.line_num + 1
     except OSError as exc:
         raise InputFileError(str(path), f"cannot read file: {exc}") from exc
-    rows = []
-    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if all(not cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
-            continue
-        rows.append((lineno, [cell.strip() for cell in row]))
+    except UnicodeDecodeError:
+        read_text(path)  # decodes the whole file, so the error names the line of the bad byte
+        raise
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise InputFileError(str(path), f"unreadable CSV record: {exc}", row=lineno) from exc
     return rows
 
 
@@ -296,11 +301,11 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
 
 @dataclass
 class Psychometrics:
-    """Optional questionnaire-validation inputs: CVR counts and score grids."""
+    """Optional questionnaire-validation inputs: CVR counts and score grids of the decoded JSON numbers."""
 
     panel_size: int = 0
     essential_counts: dict[str, int] = field(default_factory=dict)
-    dimension_scores: dict[str, list[list[float]]] = field(default_factory=dict)
+    dimension_scores: dict[str, list[list[int | float]]] = field(default_factory=dict)
     cvr_threshold: float = 0.59
     alpha_threshold: float = 0.7
 
@@ -336,12 +341,7 @@ def _threshold(path: Path, section: dict, name: str, default: float) -> float:
 def load_psychometrics(path: str | Path) -> Psychometrics:
     """Read the psychometrics JSON document (both sections optional)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
-    except OSError as exc:
-        raise InputFileError(str(path), f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFileError(str(path), f"invalid JSON: {exc}", row=exc.lineno) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise InputFileError(str(path), "document must be a JSON object")
 
@@ -365,14 +365,18 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
         if not isinstance(grids, dict):
             raise InputFileError(str(path), "reliability needs a 'dimensions' object")
         for dim, grid in grids.items():
+            # checked where it was decoded: ``cronbach_alpha`` converts one grid at a time
             try:
-                rows = [list(map(float, row)) for row in grid]
-                if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+                if type(grid) is not list or not {list}.issuperset(map(type, grid)):
+                    raise TypeError("the grid and each row must be JSON arrays")
+                if not {int, float}.issuperset(map(type, itertools.chain.from_iterable(grid))):
+                    raise TypeError("a score is not a JSON number")
+                if not all(map(math.isfinite, itertools.chain.from_iterable(grid))):
                     raise ValueError("a score is not finite")
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputFileError(
                     str(path), f"dimension {dim!r}: reliability grid must be finite numbers: {exc}"
                 ) from exc
-            result.dimension_scores[str(dim)] = rows
+            result.dimension_scores[str(dim)] = grid
         result.alpha_threshold = _threshold(path, reliability, "reliability", result.alpha_threshold)
     return result

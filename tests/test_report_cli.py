@@ -1,12 +1,15 @@
 """Pipeline orchestration, report emission, and the command-line interface."""
 
 import collections
+import dataclasses
 import enum
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -19,9 +22,12 @@ from it2ipa import fixtures
 from it2ipa.cli import main
 from it2ipa.errors import InputFileError
 from it2ipa.report import (
-    DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, emit, reference_comparison,
-    run_pipeline, to_json,
+    DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, emit, json_chunks,
+    reference_comparison, run_pipeline, to_json,
 )
+from helpers import random_it2
+
+TESTS = Path(__file__).parent
 
 RATINGS_OK = (
     "factor_id,name,dimension,facet,E1,E2\n"
@@ -236,6 +242,41 @@ class TestEmit:
         with pytest.raises(ValueError):
             to_json({"alpha": float("nan")})
 
+    @pytest.mark.parametrize("inputs", [
+        {},
+        {"ratings_path": TESTS / "golden_ratings" / "ratings.csv"},
+        {"aggregated_path": TESTS / "golden_aggregated" / "aggregated.csv",
+         "psychometrics_path": TESTS / "golden_aggregated" / "psychometrics.json"},
+    ], ids=["bundled", "ratings", "aggregated"])
+    def test_section_chunks_join_to_the_structured_text(self, inputs):
+        report = run_pipeline(PipelineConfig(), **inputs)
+        assert "".join(json_chunks(report.sections())) == to_json(report.to_structured())
+
+    def test_structured_emit_holds_one_section_at_a_time(self, tmp_path):
+        rng = random.Random(2000)
+        rows = "".join(
+            f'f{i},"{random_it2(rng).to_text()}","{random_it2(rng).to_text()}"\n'
+            for i in range(2000)
+        )
+        (tmp_path / "agg.csv").write_text("factor_id,importance,performance\n" + rows)
+        report = run_pipeline(PipelineConfig(), aggregated_path=tmp_path / "agg.csv")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emit(report, tmp_path / "out", [STRUCTURED])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the whole document and its joined text come to about 3x the file
+        assert peak < 1.5 * (tmp_path / "out" / "report.json").stat().st_size
+
+    def test_failed_structured_emit_leaves_no_file(self, tmp_path):
+        report = dataclasses.replace(run_default(), psychometrics={"alpha": float("nan")})
+        with pytest.raises(ValueError, match="Out of range float"):
+            emit(report, tmp_path, [STRUCTURED])
+        assert list(tmp_path.iterdir()) == []
+
     def test_svg_escapes_factor_ids(self, tmp_path):
         ratings = tmp_path / "ratings.csv"
         ratings.write_text(RATINGS_OK.replace("f1,", '"a&b<c>",'))
@@ -267,6 +308,11 @@ class TestToJson:
     @given(JSON_DOCS)
     def test_equals_indented_dumps(self, doc):
         assert to_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=150)
+    @given(st.dictionaries(st.text(max_size=5), JSON_DOCS, min_size=1, max_size=5))
+    def test_chunks_join_to_the_document_text(self, doc):
+        assert "".join(json_chunks(doc.items())) == to_json(doc)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"a": {"b": (v,)}}],
@@ -409,6 +455,9 @@ class TestCli:
         {"content_validity": {"panel_size": 11, "essential_counts": {"x_1": "9"}}},
         {"content_validity": {"panel_size": 11, "essential_counts": {"x_1": 9}, "threshold": True}},
         {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": False}},
+        {"reliability": {"dimensions": {"Culture": [[True, 2, 3], [2, "4", 3], [3, 3, " 5 "],
+                                                    [4, 5, "1_0"]]}}},
+        {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 10**400]]}}},
     ])
     def test_malformed_psychometrics_diagnostic_names_the_file(self, tmp_path, capsys, doc):
         path = tmp_path / "psy.json"
@@ -417,6 +466,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert json.loads(err.removeprefix("error: "))["file"] == str(path)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("flag,text", [
+        ("--ratings", RATINGS_OK.replace("Second", "Sec\xe9nd")),
+        ("--aggregated", fixtures.aggregated_path().read_text().replace("x_3,", "x_\xe93,")),
+        ("--scale", '{"terms": [\n  {"label": "Low",\n   "value": "\xe9"}]}'),
+        ("--psychometrics", '{"reliability": {\n "dimensions":\n {"D\xe9": [[1, 2], [2, 3]]}}}'),
+    ], ids=["ratings", "aggregated", "scale", "psychometrics"])
+    def test_non_utf8_input_names_the_file_and_line(self, tmp_path, capsys, flag, text, bom):
+        path = tmp_path / "input"
+        data = text.encode("latin-1")
+        path.write_bytes(bom + data)
+        assert main([flag, str(path)]) == 2
+        diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
+        line = data[:data.index(b"\xe9")].count(b"\n") + 1
+        assert (diagnostic["file"], diagnostic["row"]) == (str(path), line)
+        assert "0xe9" in diagnostic["cause"]
 
     def test_import_loads_no_numpy(self):
         src = Path(it2ipa.__file__).resolve().parents[1]

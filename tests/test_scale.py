@@ -103,6 +103,13 @@ class TestLoadScale:
         with pytest.raises(InputFileError, match="invalid JSON"):
             load_scale(path)
 
+    def test_integer_over_the_digit_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "scale.json"
+        path.write_text('{"terms": [%s]}' % ("9" * 4301))
+        with pytest.raises(InputFileError, match="invalid JSON") as excinfo:
+            load_scale(path)
+        assert excinfo.value.file == str(path)
+
     def test_rejects_missing_terms(self, tmp_path):
         path = tmp_path / "scale.json"
         path.write_text(json.dumps({"terms": []}))

@@ -263,6 +263,34 @@ class TestParseRatings:
         path.write_text(RATINGS_CSV, encoding="utf-8-sig")
         assert [f.id for f in parse_ratings(path).factors] == ["x_1", "x_2"]
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
+    def test_unicode_line_separator_stays_in_its_cell(self, tmp_path, separator):
+        path = tmp_path / "ratings.csv"
+        path.write_text(
+            f"factor_id,name,facet,E1\nf1,a{separator}b,importance,Low\nf1,a{separator}b,performance,High\n",
+            newline="",
+        )
+        assert parse_ratings(path).factors[0].name == f"a{separator}b"
+
+    def test_rows_after_a_quoted_newline_are_named_by_their_line(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text(
+            'factor_id,name,facet,E1,E2\n'
+            'f1,"two\nlines",importance,Low,High\n'
+            'f1,x,performance,Low,High\n'
+            'f2,y,importance,Low\n'
+        )
+        with pytest.raises(InputFileError, match="expected 5 cells") as excinfo:
+            parse_ratings(path)
+        assert excinfo.value.row == 5
+
+    def test_field_over_the_csv_size_limit_is_located(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text(f"factor_id,name,facet,E1\nf1,{'n' * 200_000},importance,Low\n")
+        with pytest.raises(InputFileError, match="field larger than field limit") as excinfo:
+            parse_ratings(path)
+        assert (excinfo.value.file, excinfo.value.row) == (str(path), 2)
+
 
 class TestParseAggregated:
     def test_bundled_dataset(self, bundled_profiles):
@@ -373,6 +401,38 @@ class TestLoadPsychometrics:
         path.write_bytes(b"\xef\xbb\xbf" + json.dumps(
             {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}}}).encode())
         assert load_psychometrics(path).dimension_scores == {"Culture": [[1.0, 2.0], [2.0, 3.0]]}
+
+    def test_grids_keep_the_decoded_numbers(self, tmp_path):
+        path = tmp_path / "psy.json"
+        path.write_text('{"reliability": {"dimensions": {"Culture": [[1, 2.5], [2, 3], [3, 5]]}}}')
+        grid = load_psychometrics(path).dimension_scores["Culture"]
+        assert [list(map(type, row)) for row in grid] == [[int, float], [int, int], [int, int]]
+        assert cronbach_alpha(grid) == cronbach_alpha([[1.0, 2.5], [2.0, 3.0], [3.0, 5.0]])
+
+    @pytest.mark.parametrize("grid", [
+        "[[true, 2, 3], [2, 4, 3], [3, 3, 5]]",
+        '[[1, 2, 3], [2, "4", 3], [3, 3, 5]]',
+        '[[1, 2, 3], [2, 4, 3], [3, 3, " 5 "], [4, 5, "1_0"]]',
+        "[[1, 2, 3], [2, null, 3]]",
+        "[[1, 2, 3], [2, %s, 3]]" % ("9" * 401),
+        '["12", "34"]',
+        "[[1, 2], {}]",
+        '{"a": [1, 2]}',
+    ], ids=["bool", "string", "padded-string", "null", "401-digit-int", "string-rows",
+            "object-row", "object-grid"])
+    def test_grid_cells_must_be_json_numbers(self, tmp_path, grid):
+        path = tmp_path / "psy.json"
+        path.write_text('{"reliability": {"dimensions": {"Culture": %s}}}' % grid)
+        with pytest.raises(InputFileError, match="dimension 'Culture'") as excinfo:
+            load_psychometrics(path)
+        assert excinfo.value.file == str(path)
+
+    def test_integer_over_the_digit_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "psy.json"
+        path.write_text('{"reliability": {"dimensions": {"Culture": [[%s]]}}}' % ("9" * 4301))
+        with pytest.raises(InputFileError, match="invalid JSON") as excinfo:
+            load_psychometrics(path)
+        assert excinfo.value.file == str(path)
 
     def test_missing_panel_size(self, tmp_path):
         path = tmp_path / "psy.json"
