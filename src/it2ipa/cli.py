@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import ipamap, report as report_mod, scoring
@@ -78,18 +79,25 @@ def main(argv: list[str] | None = None) -> int:
         )
     except InputFileError as exc:
         return _diagnostic(exc.file, exc.row, exc.cause)
-    except ValueError as exc:
-        return _diagnostic(None, None, str(exc))
 
     if args.out:
         try:
             written = emit(result, args.out, args.formats or [report_mod.STRUCTURED])
         except report_mod.IoFailureError as exc:
             return _diagnostic(str(exc.path), None, str(exc))
-        for path in written:
-            print(path)
+        lines = [f"{path}\n" for path in written]
     else:
-        sys.stdout.writelines(report_mod.json_chunks(result.sections()))
+        lines = report_mod.json_chunks(result.sections())
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except OSError as exc:  # e.g. a full disk, or a pipe whose reader has gone
+        # Nothing more can reach stdout: send what is left in its buffer to the null
+        # device, so that the interpreter's own flush at exit fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _diagnostic("<stdout>", None, f"cannot write the report: {exc}")
     return 0
 
 

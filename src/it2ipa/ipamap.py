@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .survey import FactorProfile
 
@@ -19,34 +19,24 @@ class OutOfRangeError(ValueError):
     """A crisp coordinate outside [0, 1]."""
 
 
-@dataclass(frozen=True)
-class MapThresholds:
+class MapThresholds(namedtuple("MapThresholds", "t1 t2")):
     """Cut points splitting each axis into low / medium / high bands."""
 
-    t1: float = 1.0 / 3.0
-    t2: float = 2.0 / 3.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.t1 < self.t2 < 1.0):
-            raise ValueError(f"need 0 < t1 < t2 < 1, got ({self.t1}, {self.t2})")
+    def __new__(cls, t1=1.0 / 3.0, t2=2.0 / 3.0):
+        if not (0.0 < t1 < t2 < 1.0):
+            raise ValueError(f"need 0 < t1 < t2 < 1, got ({t1}, {t2})")
+        return tuple.__new__(cls, (t1, t2))
 
-
-@dataclass(frozen=True)
-class MapRegion:
-    """One of the nine map cells plus its diagonal zone."""
-
-    importance_band: str
-    performance_band: str
-    zone: str
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class PlacedFactor(FactorProfile):
-    """A profile with its crisp importance and performance and its map cell."""
+MapRegion = namedtuple("MapRegion", "importance_band performance_band zone")
+MapRegion.__doc__ = """One of the nine map cells plus its diagonal zone."""
 
-    e_w: float
-    e_r: float
-    region: MapRegion
+PlacedFactor = namedtuple("PlacedFactor", FactorProfile._fields + ("e_w", "e_r", "region"))
+PlacedFactor.__doc__ = """A profile with its crisp importance and performance and its map cell."""
 
 
 def band(value: float, thresholds: MapThresholds) -> str:
@@ -101,7 +91,7 @@ def partition(
 def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
     """The map as data: cut points, then the nine cells (high importance first) with factors."""
     cells = [MapRegion(i, p, _zone_of(i, p)) for i in reversed(BANDS) for p in BANDS]
-    regions = {cell: {**asdict(cell), "factors": []} for cell in cells}
+    regions = {cell: {**cell._asdict(), "factors": []} for cell in cells}
     for profile in profiles:
         regions[profile.region]["factors"].append(
             {"id": profile.factor.id, "importance": profile.e_w, "performance": profile.e_r}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 import re
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, reduce
 
 
@@ -40,16 +40,19 @@ class OrderingViolatedWarning(UserWarning):
 _ORDER_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class Trapezoid:
+class Trapezoid(namedtuple("Trapezoid", "a1 a2 a3 a4 h1 h2")):
     """One membership trapezoid: endpoints a1..a4 with heights h1, h2."""
 
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    h1: float = 1.0
-    h2: float = 1.0
+    __slots__ = ()
+
+    def __new__(cls, a1, a2, a3, a4, h1=1.0, h2=1.0):
+        self = tuple.__new__(cls, (a1, a2, a3, a4, h1, h2))
+        # Looked up through the instance, so that a wrapper set on the class sees
+        # every trapezoid built: bench/run.py counts them by wrapping this method.
+        self.__post_init__()
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
     def __post_init__(self):
         if not (0.0 < self.h1 <= 1.0 and 0.0 < self.h2 <= 1.0):
@@ -57,11 +60,11 @@ class Trapezoid:
 
     @property
     def endpoints(self) -> tuple[float, float, float, float]:
-        return (self.a1, self.a2, self.a3, self.a4)
+        return self[:4]
 
     @property
     def heights(self) -> tuple[float, float]:
-        return (self.h1, self.h2)
+        return self[4:]
 
     @property
     def is_ordered(self) -> bool:
@@ -74,7 +77,6 @@ _TRAP = rf"\(\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*;\s*({_N
 _CANONICAL = re.compile(rf"^\s*\(\s*{_TRAP}\s*,\s*{_TRAP}\s*\)\s*$")
 
 
-_TRAPEZOID_FIELDS = operator.attrgetter("a1", "a2", "a3", "a4", "h1", "h2")
 _TEXT = "(({0},{0},{0},{0};{0},{0}),({0},{0},{0},{0};{0},{0}))"
 _EXACT_TEXT = _TEXT.format("%r")
 # Display rounding: drop the zeros that end a number with a point (and a bare point); -0 is 0.
@@ -87,12 +89,10 @@ def _rounded_text(decimals: int) -> str:
     return _TEXT.format(f"%.{decimals}f")
 
 
-@dataclass(frozen=True)
-class IT2TrapFN:
+class IT2TrapFN(namedtuple("IT2TrapFN", "upper lower")):
     """An interval type-2 trapezoidal fuzzy number (upper + lower trapezoid)."""
 
-    upper: Trapezoid
-    lower: Trapezoid
+    __slots__ = ()
 
     @classmethod
     def crisp(cls, value: float) -> "IT2TrapFN":
@@ -110,7 +110,7 @@ class IT2TrapFN:
 
     def to_text(self, decimals: int | None = None) -> str:
         """The canonical text, exact or rounded to ``decimals`` places (no trailing zeros, no -0)."""
-        values = _TRAPEZOID_FIELDS(self.upper) + _TRAPEZOID_FIELDS(self.lower)
+        values = self.upper + self.lower
         if decimals is None:
             return _EXACT_TEXT % tuple(map(float, values))
         text = _rounded_text(decimals) % values
@@ -151,6 +151,12 @@ class IT2TrapFN:
         if isinstance(other, int) and not isinstance(other, bool):
             return scalar_div(self, other)
         return NotImplemented
+
+    def __radd__(self, other):
+        """Refuse ``(1,) + x`` and ``3 * x``: a fuzzy number is not a tuple to join or repeat."""
+        raise TypeError(f"unsupported operand types: {type(other).__name__!r} and 'IT2TrapFN'")
+
+    __rmul__ = __radd__
 
 
 def it2(upper: tuple, lower: tuple) -> IT2TrapFN:
@@ -256,7 +262,7 @@ def mean(values) -> IT2TrapFN:
         raise InvalidDivisorError("the mean needs at least one value")
 
     def trap(traps) -> Trapezoid:
-        *ends, h1, h2 = zip(*map(_TRAPEZOID_FIELDS, traps))
+        *ends, h1, h2 = zip(*traps)
         return Trapezoid(*(reduce(operator.add, column) / m for column in ends), min(h1), min(h2))
 
     return IT2TrapFN(trap(v.upper for v in values), trap(v.lower for v in values))

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -19,7 +18,6 @@ from .errors import InputFileError
 from .ipamap import MapThresholds, PlacedFactor
 from .numbers import DivisorSpansZeroError
 from .scale import UnknownTermError, default_scale, load_scale
-from .scoring import RankedFactor
 from .survey import (
     Psychometrics,
     cronbach_alpha,
@@ -51,39 +49,29 @@ class IoFailureError(OSError):
         super().__init__(f"cannot write {path}: {cause}")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(namedtuple("PipelineConfig", "scale_path thresholds partition_mode cffs_mode")):
     """Everything the pipeline needs besides the input files."""
 
-    scale_path: str | None = None
-    thresholds: MapThresholds = field(default_factory=MapThresholds)
-    partition_mode: str = ipamap.REGION_MODE
-    cffs_mode: str = scoring.AS_COMPUTED
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.partition_mode not in (ipamap.REGION_MODE, ipamap.COMPARISON_MODE):
-            raise ValueError(f"unknown partition mode: {self.partition_mode!r}")
-        if self.cffs_mode not in scoring.FAILURE_MODES:
-            raise ValueError(f"unknown failure-score mode: {self.cffs_mode!r}")
+    def __new__(cls, scale_path: str | None = None, thresholds: MapThresholds = MapThresholds(),
+                partition_mode: str = ipamap.REGION_MODE, cffs_mode: str = scoring.AS_COMPUTED):
+        if partition_mode not in (ipamap.REGION_MODE, ipamap.COMPARISON_MODE):
+            raise ValueError(f"unknown partition mode: {partition_mode!r}")
+        if cffs_mode not in scoring.FAILURE_MODES:
+            raise ValueError(f"unknown failure-score mode: {cffs_mode!r}")
+        return tuple.__new__(cls, (scale_path, thresholds, partition_mode, cffs_mode))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(namedtuple("Report", (
+    "config scale_source input_source used_bundled_input profiles failure_candidates"
+    " success_candidates balanced success_ranking failure_ranking psychometrics map notes"
+), defaults=((),))):
     """All pipeline results, ``profiles`` in factor-id order. ``sections`` mirrors the JSON."""
 
-    config: PipelineConfig
-    scale_source: str
-    input_source: str
-    used_bundled_input: bool
-    profiles: list[PlacedFactor]
-    failure_candidates: list[PlacedFactor]
-    success_candidates: list[PlacedFactor]
-    balanced: list[PlacedFactor]
-    success_ranking: list[RankedFactor]
-    failure_ranking: list[RankedFactor]
-    psychometrics: dict | None
-    map: dict
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     def sections(self):
         """Each top-level ``(key, value)`` of the structured report, in schema order.
@@ -142,8 +130,7 @@ class Report:
                     "factor": rf.factor.id,
                     "rank": rf.rank,
                     "value": value,
-                    # the breakdown's fields hold floats only, so a shallow copy is ``asdict``
-                    "breakdown": dict(vars(rf.breakdown)),
+                    "breakdown": rf.breakdown._asdict(),
                 }
                 if rf.score.mode is not None:
                     score["mode"] = row["mode"] = rf.score.mode
@@ -337,7 +324,7 @@ def run_pipeline(
     for p in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
         e_w, e_r = dtrat(p.w_fuzzy), dtrat(p.r_fuzzy)
         region = ipamap.place(e_w, e_r, config.thresholds)
-        placed.append(PlacedFactor(p.factor, p.w_fuzzy, p.r_fuzzy, e_w, e_r, region))
+        placed.append(PlacedFactor(*p, e_w, e_r, region))
 
     failure_candidates, success_candidates, balanced = ipamap.partition(
         placed, config.partition_mode
@@ -379,7 +366,7 @@ def run_pipeline(
         psychometrics=psychometrics,
         map=ipamap.build_map(placed, config.thresholds),
     )
-    return dataclasses.replace(report, notes=_build_notes(report))
+    return report._replace(notes=_build_notes(report))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +434,11 @@ def _delimited_files(report: Report) -> dict[str, str]:
                 for rf in (ranked[p.factor.id] for p in candidates)  # candidates are in id order
             ],
         )
-        breakdown_fields = [f.name for f in dataclasses.fields(scoring.RankBreakdown) if f.name != "rank"]
         files[f"ranking_{kind}.csv"] = _csv_text(
-            ["position", "factor_id", "rank"] + breakdown_fields,
+            ["position", "factor_id", "rank", *scoring.RankBreakdown._fields[:-1]],
             [
                 [str(i), rf.factor.id, f"{rf.rank:.6f}"]
-                + [f"{getattr(rf.breakdown, name):.6f}" for name in breakdown_fields]
+                + [f"{term:.6f}" for term in rf.breakdown[:-1]]  # ``rank`` is the last field
                 for i, rf in enumerate(ranking, start=1)
             ],
         )

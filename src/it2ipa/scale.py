@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from .defuzz import dtrat
@@ -24,19 +24,16 @@ def _key(label: str) -> str:
     return label.strip().casefold()
 
 
-@dataclass(frozen=True)
-class LinguisticScale:
+class LinguisticScale(namedtuple("LinguisticScale", "terms")):
     """Ordered (label, value) pairs from the weakest to the strongest term."""
 
-    terms: tuple[tuple[str, IT2TrapFN], ...]
-    # label key -> value of the first term with that key; derived, so not compared
-    _by_key: dict[str, IT2TrapFN] = field(init=False, repr=False, compare=False, hash=False)
+    def __init__(self, terms):
+        # label key -> value of the first term with that key; derived, so not compared
+        self._by_key: dict[str, IT2TrapFN] = {}
+        for label, value in terms:
+            self._by_key.setdefault(_key(label), value)
 
-    def __post_init__(self):
-        by_key: dict[str, IT2TrapFN] = {}
-        for label, value in self.terms:
-            by_key.setdefault(_key(label), value)
-        object.__setattr__(self, "_by_key", by_key)
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace builds _by_key
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -74,9 +71,15 @@ def lookup(scale: LinguisticScale, label: str) -> IT2TrapFN:
 
 
 def value_problems(value: IT2TrapFN) -> list[str]:
-    """Why ``value`` cannot be a rating: its violations, or support outside [0, 1]."""
+    """Why ``value`` cannot be a rating: its violations, or support outside [0, 1].
+
+    The support spans all eight endpoints, the inner ones too, which the order
+    check lets stray by ``_ORDER_SLACK``: with all eight in [0, 1], DTraT lies
+    in [0, 1], so the value can be placed on the map.
+    """
     problems = value.violations()
-    if not (0.0 <= value.upper.a1 and value.upper.a4 <= 1.0):
+    ends = value.upper.endpoints + value.lower.endpoints
+    if not (0.0 <= min(ends) and max(ends) <= 1.0):
         problems.append("support outside [0, 1]")
     return problems
 

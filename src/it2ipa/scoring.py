@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import numbers
 from .numbers import IT2TrapFN, Trapezoid
@@ -25,60 +25,39 @@ class NonFiniteScoreError(ValueError):
     """A score without a finite rank value: an endpoint is inf or NaN, or a term overflows."""
 
 
-@dataclass(frozen=True)
-class FuzzyScore:
+class FuzzyScore(namedtuple("FuzzyScore", "factor kind value mode")):
     """A factor's fuzzy criticality score (success, or failure with its mode)."""
 
-    factor: Factor
-    kind: str
-    value: IT2TrapFN
-    mode: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (SUCCESS, FAILURE):
-            raise ValueError(f"kind must be '{SUCCESS}' or '{FAILURE}', got {self.kind!r}")
-        if self.kind == SUCCESS and self.mode is not None:
+    def __new__(cls, factor: Factor, kind: str, value: IT2TrapFN, mode: str | None = None):
+        if kind not in (SUCCESS, FAILURE):
+            raise ValueError(f"kind must be '{SUCCESS}' or '{FAILURE}', got {kind!r}")
+        if kind == SUCCESS and mode is not None:
             raise ValueError("success scores are mode-free")
-        if self.kind == FAILURE and self.mode not in FAILURE_MODES:
-            raise ValueError(f"failure scores need a mode in {FAILURE_MODES}, got {self.mode!r}")
+        if kind == FAILURE and mode not in FAILURE_MODES:
+            raise ValueError(f"failure scores need a mode in {FAILURE_MODES}, got {mode!r}")
+        return tuple.__new__(cls, (factor, kind, value, mode))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class RankBreakdown:
-    """Every term of the ranking value, auditable one by one.
+# The field order sets the ``breakdown`` keys and the ``ranking_*.csv`` header.
+RankBreakdown = namedtuple(
+    "RankBreakdown",
+    "m1u m2u m3u m1l m2l m3l s1u s2u s3u s4u s1l s2l s3l s4l h1u h2u h1l h2l rank",
+)
+RankBreakdown.__doc__ = """Every term of the ranking value, auditable one by one.
 
-    The total is the sum of the six pairwise endpoint means, minus a quarter
-    of the sum of the eight endpoint deviations, plus the four heights.
-    """
-
-    m1u: float
-    m2u: float
-    m3u: float
-    m1l: float
-    m2l: float
-    m3l: float
-    s1u: float
-    s2u: float
-    s3u: float
-    s4u: float
-    s1l: float
-    s2l: float
-    s3l: float
-    s4l: float
-    h1u: float
-    h2u: float
-    h1l: float
-    h2l: float
-    rank: float
+The total is the sum of the six pairwise endpoint means, minus a quarter
+of the sum of the eight endpoint deviations, plus the four heights.
+"""
 
 
-@dataclass(frozen=True)
-class RankedFactor:
+class RankedFactor(namedtuple("RankedFactor", "factor score breakdown")):
     """A factor with its fuzzy score and rank-value breakdown."""
 
-    factor: Factor
-    score: FuzzyScore
-    breakdown: RankBreakdown
+    __slots__ = ()
 
     @property
     def rank(self) -> float:

@@ -6,7 +6,7 @@ import csv
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from . import numbers
@@ -31,40 +31,24 @@ class DegenerateDataError(ValueError):
     """A score grid too small or too uniform for a reliability coefficient."""
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One survey component: short code, display name, questionnaire dimension."""
+Factor = namedtuple("Factor", "id name dimension")
+Factor.__doc__ = """One survey component: short code, display name, questionnaire dimension."""
 
-    id: str
-    name: str
-    dimension: str
+RatingMatrix = namedtuple("RatingMatrix", "factors experts importance performance")
+RatingMatrix.__doc__ = """Dense linguistic ratings, one row per factor, one column per expert."""
 
-
-@dataclass
-class RatingMatrix:
-    """Dense linguistic ratings, one row per factor, one column per expert."""
-
-    factors: list[Factor]
-    experts: list[str]
-    importance: list[list[str]]
-    performance: list[list[str]]
+FactorProfile = namedtuple("FactorProfile", "factor w_fuzzy r_fuzzy")
+FactorProfile.__doc__ = """A factor's aggregated fuzzy importance and performance."""
 
 
-@dataclass(frozen=True)
-class FactorProfile:
-    """A factor's aggregated fuzzy importance and performance."""
-
-    factor: Factor
-    w_fuzzy: IT2TrapFN
-    r_fuzzy: IT2TrapFN
-
-
-_DIGITS = re.compile(r"(\d+)")
+# A digit run is at most 640 long, the lowest int-conversion digit limit that Python
+# allows, so that ``int`` takes every run; a longer run is split.
+_DIGITS = re.compile(r"(\d{1,640})")
 
 
 def factor_sort_key(factor_id: str):
     """Natural ordering key so x_2 sorts before x_10."""
-    return tuple(int(p) if p.isdigit() else p for p in _DIGITS.split(factor_id))
+    return tuple(int(p) if p.isdecimal() else p for p in _DIGITS.split(factor_id))
 
 
 def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfile]:
@@ -144,7 +128,10 @@ def cronbach_alpha(scores) -> float:
         raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
     if total_variance <= 0:
         raise DegenerateDataError("total-score variance is zero")
-    return k / (k - 1) * (1.0 - item_variance / total_variance)
+    alpha = k / (k - 1) * (1.0 - item_variance / total_variance)
+    if not math.isfinite(alpha):  # the item variances over a subnormal total variance
+        raise DegenerateDataError(f"total-score variance {total_variance!r} is too small to divide by")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +286,12 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
     return profiles
 
 
-@dataclass
-class Psychometrics:
+Psychometrics = namedtuple(
+    "Psychometrics", "panel_size essential_counts dimension_scores cvr_threshold alpha_threshold"
+)
+Psychometrics.__doc__ = (
     """Optional questionnaire-validation inputs: CVR counts and score grids of the decoded JSON numbers."""
-
-    panel_size: int = 0
-    essential_counts: dict[str, int] = field(default_factory=dict)
-    dimension_scores: dict[str, list[list[int | float]]] = field(default_factory=dict)
-    cvr_threshold: float = 0.59
-    alpha_threshold: float = 0.7
+)
 
 
 def _section(path: Path, doc: dict, name: str) -> dict:
@@ -345,20 +329,21 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
     if not isinstance(doc, dict):
         raise InputFileError(str(path), "document must be a JSON object")
 
-    result = Psychometrics()
+    panel_size, essential_counts, cvr_threshold = 0, {}, 0.59
     content = _section(path, doc, "content_validity")
     if content:
         try:
-            result.panel_size = _count(content["panel_size"])
-            result.essential_counts = {
+            panel_size = _count(content["panel_size"])
+            essential_counts = {
                 str(k): _count(v) for k, v in dict(content["essential_counts"]).items()
             }
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputFileError(
                 str(path), f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
             ) from exc
-        result.cvr_threshold = _threshold(path, content, "content_validity", result.cvr_threshold)
+        cvr_threshold = _threshold(path, content, "content_validity", cvr_threshold)
 
+    dimension_scores, alpha_threshold = {}, 0.7
     reliability = _section(path, doc, "reliability")
     if reliability:
         grids = reliability.get("dimensions")
@@ -377,6 +362,6 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
                 raise InputFileError(
                     str(path), f"dimension {dim!r}: reliability grid must be finite numbers: {exc}"
                 ) from exc
-            result.dimension_scores[str(dim)] = grid
-        result.alpha_threshold = _threshold(path, reliability, "reliability", result.alpha_threshold)
-    return result
+            dimension_scores[str(dim)] = grid
+        alpha_threshold = _threshold(path, reliability, "reliability", alpha_threshold)
+    return Psychometrics(panel_size, essential_counts, dimension_scores, cvr_threshold, alpha_threshold)

@@ -68,6 +68,17 @@ class TestConstruction:
     def test_valid_number_has_no_violations(self, terms):
         assert terms["Medium"].violations() == []
 
+    def test_replace_checks_the_heights(self):
+        with pytest.raises(ValueError, match="heights"):
+            Trapezoid(0, 0, 0, 0)._replace(h1=0.0)
+
+    def test_not_a_tuple_in_arithmetic(self, terms):
+        x = terms["Low"]
+        with pytest.raises(TypeError):
+            3 * x  # a tuple would repeat
+        with pytest.raises(TypeError):
+            (1,) + x  # a tuple would concatenate
+
 
 class TestCanonicalText:
     def test_round_trip(self, terms):

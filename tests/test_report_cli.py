@@ -1,7 +1,6 @@
 """Pipeline orchestration, report emission, and the command-line interface."""
 
 import collections
-import dataclasses
 import enum
 import json
 import os
@@ -272,7 +271,7 @@ class TestEmit:
         assert peak < 1.5 * (tmp_path / "out" / "report.json").stat().st_size
 
     def test_failed_structured_emit_leaves_no_file(self, tmp_path):
-        report = dataclasses.replace(run_default(), psychometrics={"alpha": float("nan")})
+        report = run_default()._replace(psychometrics={"alpha": float("nan")})
         with pytest.raises(ValueError, match="Out of range float"):
             emit(report, tmp_path, [STRUCTURED])
         assert list(tmp_path.iterdir()) == []
@@ -484,12 +483,74 @@ class TestCli:
         assert (diagnostic["file"], diagnostic["row"]) == (str(path), line)
         assert "0xe9" in diagnostic["cause"]
 
-    def test_import_loads_no_numpy(self):
+    @pytest.mark.parametrize("value", [
+        "((0,0,0,0;1,1),(-1e-13,0,0,0;1,1))",
+        "((1,1,1,1;1,1),(1,1,1,1.0000000000001;1,1))",
+        "((0,-5e-13,-5e-13,0;1,1),(0,0,0,0;1,1))",
+    ], ids=["lower-below", "lower-above", "inner-below"])
+    def test_endpoint_outside_the_unit_interval_is_located(self, tmp_path, capsys, value):
+        path = tmp_path / "agg.csv"
+        path.write_text(f'factor_id,importance,performance\nx_1,"{value}","{value}"\n')
+        assert main(["--aggregated", str(path)]) == 2
+        diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
+        assert (diagnostic["file"], diagnostic["row"]) == (str(path), 2)
+        assert diagnostic["cause"] == "factor x_1 importance: support outside [0, 1]"
+
+    # a digit that is not a decimal, and a digit run over int()'s default 4300-digit limit
+    @pytest.mark.parametrize("fid", ["\u00b2", "x_" + "9" * 5000], ids=["superscript", "5000-digits"])
+    def test_any_id_is_sorted(self, tmp_path, capsys, fid):
+        agg, psy = tmp_path / "agg.csv", tmp_path / "psy.json"
+        agg.write_text(fixtures.aggregated_path().read_text().replace("x_3,", f"{fid},"))
+        psy.write_text(json.dumps({"content_validity": {
+            "panel_size": 11, "essential_counts": {fid: 9, "x_3": 9}}}))
+        assert main(["--aggregated", str(agg), "--psychometrics", str(psy)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert fid in [row["factor"] for row in doc["aggregated"]]
+        assert fid in [c["id"] for c in doc["psychometrics"]["content_validity"]["components"]]
+
+    def test_failed_stdout_write_is_located(self, tmp_path):
+        # a pipe closed by its reader after 10 bytes of a report larger than its buffer
+        header, row = fixtures.aggregated_path().read_text().split("\nx_1,")[0:2]
+        row = row.splitlines()[0]
+        agg = tmp_path / "agg.csv"
+        agg.write_text(header + "".join(f"\ny_{i},{row}" for i in range(400)) + "\n")
         src = Path(it2ipa.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        code = "import it2ipa.cli, sys; assert 'numpy' not in sys.modules"
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-        assert result.returncode == 0, result.stderr.decode()
+        argv = [sys.executable, "-m", "it2ipa.cli", "--aggregated", str(agg)]
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        results = [(child.wait(timeout=60), child.stderr.read().decode())]
+        child.stderr.close()
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                done = subprocess.run(argv[:3], env=env, stdout=full, stderr=subprocess.PIPE)
+            results.append((done.returncode, done.stderr.decode()))
+        for code, err in results:
+            assert code == 2 and "Traceback" not in err and "Exception" not in err, err
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+            assert json.loads(lines[0].removeprefix("error: "))["file"] == "<stdout>"
+
+    def test_import_loads_no_numpy(self):
+        # nor any other module that only the records or the optional numeric stack would need
+        src = Path(it2ipa.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        unneeded = ["numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "copy"]
+        code = f"import it2ipa.cli, sys; print(sorted(set({unneeded}) & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    @pytest.mark.parametrize("record,change", [
+        (it2ipa.MapThresholds(), {"t1": 0.9}),
+        (PipelineConfig(), {"cffs_mode": "majority"}),
+        (it2ipa.FuzzyScore(it2ipa.Factor("f", "f", "d"), "success", it2ipa.IT2TrapFN.crisp(0.5)),
+         {"mode": "as_written"}),
+    ], ids=["thresholds", "config", "score"])
+    def test_replace_checks_like_the_constructor(self, record, change):
+        with pytest.raises(ValueError):
+            record._replace(**change)
 
     def test_reproduce_tables_script_runs(self, tmp_path):
         root = Path(__file__).resolve().parents[1]

@@ -78,6 +78,24 @@ def test_validate_flags_support_outside_unit_interval():
     assert any("outside [0, 1]" in p for p in problems)
 
 
+@pytest.mark.parametrize("upper,lower", [
+    ((0, 0, 0, 0), (-1e-13, 0, 0, 0)),  # the lower support, within the containment slack
+    ((1, 1, 1, 1), (1, 1, 1, 1.0000000000001)),
+    ((0, -5e-13, -5e-13, 0), (0, 0, 0, 0)),  # inner endpoints, within the order slack
+])
+def test_validate_flags_any_endpoint_outside_unit_interval(upper, lower):
+    value = it2((*upper, 1, 1), (*lower, 1, 1))
+    assert value.violations() == []
+    problems = validate_scale(LinguisticScale((("Edge", value),)))
+    assert problems == ["term 'Edge': support outside [0, 1]"]
+
+
+def test_replace_rebuilds_the_label_index(scale, terms):
+    renamed = scale._replace(terms=(("Lo", terms["Low"]),))
+    assert lookup(renamed, "lo") == terms["Low"]
+    assert renamed == LinguisticScale((("Lo", terms["Low"]),))
+
+
 class TestLoadScale:
     def _write(self, path, terms):
         path.write_text(json.dumps({"terms": terms}))

@@ -186,10 +186,21 @@ class TestCronbachAlpha:
         with pytest.raises(DegenerateDataError):
             cronbach_alpha(grid)
 
+    def test_subnormal_total_variance_is_degenerate(self):
+        # row totals 0 and 1e-161: a total variance of 5e-323 under item variances of 1e20
+        with pytest.raises(DegenerateDataError, match="too small"):
+            cronbach_alpha([[1e10, -1e10, 0.0], [-1e10, 1e10, 1e-161]])
+
 
 def test_factor_sort_key_natural_order():
     ids = ["x_10", "x_2", "x_1", "x_18", "x_3"]
     assert sorted(ids, key=factor_sort_key) == ["x_1", "x_2", "x_3", "x_10", "x_18"]
+
+
+def test_factor_sort_key_takes_any_digits():
+    # superscript two is a digit but not a decimal; 5000 digits exceed int()'s default limit
+    ids = ["x_" + "1" * 5000, "x_²", "x_10", "x_٣", "x_2"]
+    assert sorted(ids, key=factor_sort_key) == ["x_2", "x_٣", "x_10", "x_" + "1" * 5000, "x_²"]
 
 
 RATINGS_CSV = """factor_id,name,dimension,facet,E1,E2,E3
