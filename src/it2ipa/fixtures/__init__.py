@@ -16,7 +16,8 @@ RANKS = _DIR / "reference_ranks.csv"
 
 
 def _rows(path: Path) -> list[dict]:
-    (_, header), *rows = data_rows(path)
+    rows = data_rows(path)
+    _, header = next(rows)
     return [dict(zip(header, row)) for _, row in rows]
 
 

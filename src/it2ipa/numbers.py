@@ -223,11 +223,14 @@ def div(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
     """Cross-reversed component-wise quotients (approximate IT2 quotient).
 
     Endpoint k of the result divides a's endpoint k by b's endpoint 5-k
-    within each trapezoid. The divisor's support must be strictly positive.
+    within each trapezoid. The divisor's support must be strictly positive:
+    all eight endpoints, since an inner one may stray below ``a1`` by the
+    order slack.
     """
-    if b.upper.a1 <= 0:
+    low = min(b.upper.endpoints + b.lower.endpoints)
+    if low <= 0:
         raise DivisorSpansZeroError(
-            f"divisor support must be strictly positive, got lower bound {b.upper.a1}"
+            f"divisor support must be strictly positive, got lower bound {low}"
         )
 
     def trap(x: Trapezoid, y: Trapezoid) -> Trapezoid:

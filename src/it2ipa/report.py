@@ -373,12 +373,15 @@ def run_pipeline(
 # Emission
 
 def _write_atomic(path: Path, chunks) -> None:
-    """Write the text ``chunks`` through a new temp file and a rename; the umask sets the file mode."""
+    """Write the text ``chunks`` as UTF-8, whatever the locale, through a new temp file and a rename.
+
+    The umask sets the file mode.
+    """
     tmp_name = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with open(tmp_name, "x", newline="") as handle:
+            with open(tmp_name, "x", encoding="utf-8", newline="") as handle:
                 handle.writelines(chunks)
             os.replace(tmp_name, path)
         except BaseException:

@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 from collections import namedtuple
+from contextlib import closing
 from pathlib import Path
 
 from . import numbers
@@ -137,15 +138,21 @@ def cronbach_alpha(scores) -> float:
 # ---------------------------------------------------------------------------
 # Input files
 
-def data_rows(path: Path) -> list[tuple[int, list[str]]]:
-    """Stripped CSV records with the line each starts on; skips comments, blanks and a UTF-8 BOM."""
-    rows, lineno = [], 1
+def data_rows(path: Path):
+    """Yield each stripped CSV record with the line it starts on.
+
+    Comments, blank records and a UTF-8 BOM are skipped. Records are read as
+    the ``csv`` reader produces them, so an error further on in the file (a bad
+    byte, an over-long field) is met only when the reader gets there.
+    """
+    lineno = 1
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             for row in reader:
-                if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#"):
-                    rows.append((lineno, [cell.strip() for cell in row]))
+                row = [cell.strip() for cell in row]
+                if any(row) and not row[0].startswith("#"):
+                    yield lineno, row
                 lineno = reader.line_num + 1
     except OSError as exc:
         raise InputFileError(str(path), f"cannot read file: {exc}") from exc
@@ -154,7 +161,6 @@ def data_rows(path: Path) -> list[tuple[int, list[str]]]:
         raise
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise InputFileError(str(path), f"unreadable CSV record: {exc}", row=lineno) from exc
-    return rows
 
 
 def _split_header(path: Path, header: list[str], lineno: int, tail: list[str]) -> tuple[dict, list[str]]:
@@ -183,43 +189,46 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
 
     Layout: header ``factor_id[,name][,dimension],facet,<expert>...``, then one
     row per (factor, facet) with one scale label per expert. Every factor must
-    appear with both facets and every cell must be filled.
+    appear with both facets and every cell must be filled. Records are read
+    as a stream, and equal label texts share one ``str`` in the matrix.
     """
     path = Path(path)
-    rows = data_rows(path)
-    if not rows:
-        raise InputFileError(str(path), "empty ratings file: no header row")
-    header_line, header = rows[0]
-    idx, experts = _split_header(path, header, header_line, ["facet"])
-    if not experts:
-        raise InputFileError(str(path), "no expert columns after 'facet'", row=header_line)
-    if len(rows) == 1:
-        raise InputFileError(str(path), "empty ratings file: no data rows")
+    with closing(data_rows(path)) as rows:
+        header_line, header = next(rows, (None, None))
+        if header is None:
+            raise InputFileError(str(path), "empty ratings file: no header row")
+        idx, experts = _split_header(path, header, header_line, ["facet"])
+        if not experts:
+            raise InputFileError(str(path), "no expert columns after 'facet'", row=header_line)
 
-    factors: list[Factor] = []
-    by_id: dict[str, dict[str, list[str]]] = {}
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise InputFileError(
-                str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
-            )
-        fid = row[idx["factor_id"]]
-        facet = row[idx["facet"]].lower()
-        if facet not in FACETS:
-            raise InputFileError(
-                str(path), f"facet must be one of {FACETS}, got {row[idx['facet']]!r}", row=lineno
-            )
-        cells = row[len(header) - len(experts):]
-        if any(not c for c in cells):
-            raise InputFileError(str(path), f"factor {fid}: empty {facet} cell", row=lineno)
-        if fid not in by_id:
-            name = row[idx["name"]] if "name" in idx else fid
-            dimension = row[idx["dimension"]] if "dimension" in idx else "general"
-            factors.append(Factor(fid, name or fid, dimension or "general"))
-            by_id[fid] = {}
-        if facet in by_id[fid]:
-            raise InputFileError(str(path), f"duplicate {facet} row for factor {fid}", row=lineno)
-        by_id[fid][facet] = cells
+        first_cell = len(header) - len(experts)
+        labels: dict[str, str] = {}  # one string per distinct label text
+        factors: list[Factor] = []
+        by_id: dict[str, dict[str, list[str]]] = {}
+        for lineno, row in rows:
+            if len(row) != len(header):
+                raise InputFileError(
+                    str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
+                )
+            fid = row[idx["factor_id"]]
+            facet = row[idx["facet"]].lower()
+            if facet not in FACETS:
+                raise InputFileError(
+                    str(path), f"facet must be one of {FACETS}, got {row[idx['facet']]!r}", row=lineno
+                )
+            cells = row[first_cell:]
+            if not all(cells):
+                raise InputFileError(str(path), f"factor {fid}: empty {facet} cell", row=lineno)
+            if fid not in by_id:
+                name = row[idx["name"]] if "name" in idx else fid
+                dimension = row[idx["dimension"]] if "dimension" in idx else "general"
+                factors.append(Factor(fid, name or fid, dimension or "general"))
+                by_id[fid] = {}
+            if facet in by_id[fid]:
+                raise InputFileError(str(path), f"duplicate {facet} row for factor {fid}", row=lineno)
+            by_id[fid][facet] = list(map(labels.setdefault, cells, cells))
+    if not factors:
+        raise InputFileError(str(path), "empty ratings file: no data rows")
 
     for factor in factors:
         missing = [f for f in FACETS if f not in by_id[factor.id]]
@@ -242,47 +251,47 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
     structurally valid numbers with support inside [0, 1].
     """
     path = Path(path)
-    rows = data_rows(path)
-    if not rows:
-        raise InputFileError(str(path), "empty aggregated file: no header row")
-    header_line, header = rows[0]
-    idx, extra = _split_header(path, header, header_line, [IMPORTANCE, PERFORMANCE])
-    if extra:
-        raise InputFileError(
-            str(path), f"unexpected trailing columns: {extra}", row=header_line
-        )
-    if len(rows) == 1:
-        raise InputFileError(str(path), "empty aggregated file: no data rows")
-
-    profiles = []
-    seen: set[str] = set()
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
+    with closing(data_rows(path)) as rows:
+        header_line, header = next(rows, (None, None))
+        if header is None:
+            raise InputFileError(str(path), "empty aggregated file: no header row")
+        idx, extra = _split_header(path, header, header_line, [IMPORTANCE, PERFORMANCE])
+        if extra:
             raise InputFileError(
-                str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
+                str(path), f"unexpected trailing columns: {extra}", row=header_line
             )
-        fid = row[idx["factor_id"]]
-        if fid in seen:
-            raise InputFileError(str(path), f"duplicate factor id {fid}", row=lineno)
-        seen.add(fid)
-        name = row[idx["name"]] if "name" in idx else fid
-        dimension = row[idx["dimension"]] if "dimension" in idx else "general"
-        values = {}
-        for facet in FACETS:
-            try:
-                value = IT2TrapFN.from_text(row[idx[facet]])
-            except ValueError as exc:
-                raise InputFileError(str(path), f"factor {fid} {facet}: {exc}", row=lineno) from exc
-            problems = value_problems(value)
-            if problems:
+
+        profiles = []
+        seen: set[str] = set()
+        for lineno, row in rows:
+            if len(row) != len(header):
                 raise InputFileError(
-                    str(path), f"factor {fid} {facet}: {'; '.join(problems)}", row=lineno
+                    str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
                 )
-            values[facet] = value
-        profiles.append(FactorProfile(
-            Factor(fid, name or fid, dimension or "general"),
-            values[IMPORTANCE], values[PERFORMANCE],
-        ))
+            fid = row[idx["factor_id"]]
+            if fid in seen:
+                raise InputFileError(str(path), f"duplicate factor id {fid}", row=lineno)
+            seen.add(fid)
+            name = row[idx["name"]] if "name" in idx else fid
+            dimension = row[idx["dimension"]] if "dimension" in idx else "general"
+            values = {}
+            for facet in FACETS:
+                try:
+                    value = IT2TrapFN.from_text(row[idx[facet]])
+                except ValueError as exc:
+                    raise InputFileError(str(path), f"factor {fid} {facet}: {exc}", row=lineno) from exc
+                problems = value_problems(value)
+                if problems:
+                    raise InputFileError(
+                        str(path), f"factor {fid} {facet}: {'; '.join(problems)}", row=lineno
+                    )
+                values[facet] = value
+            profiles.append(FactorProfile(
+                Factor(fid, name or fid, dimension or "general"),
+                values[IMPORTANCE], values[PERFORMANCE],
+            ))
+    if not profiles:
+        raise InputFileError(str(path), "empty aggregated file: no data rows")
     return profiles
 
 
@@ -322,6 +331,19 @@ def _threshold(path: Path, section: dict, name: str, default: float) -> float:
     return threshold
 
 
+def _check_name(path: Path, kind: str, name: str) -> None:
+    """Refuse a name that holds a lone surrogate, from a JSON escape such as ``\\ud800``.
+
+    UTF-8 cannot encode it, so it would fail the write of ``psychometrics.csv``.
+    """
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputFileError(
+            str(path), f"{kind} {name!r} holds a lone surrogate, which UTF-8 cannot encode"
+        ) from None
+
+
 def load_psychometrics(path: str | Path) -> Psychometrics:
     """Read the psychometrics JSON document (both sections optional)."""
     path = Path(path)
@@ -341,6 +363,8 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
             raise InputFileError(
                 str(path), f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
             ) from exc
+        for component in essential_counts:
+            _check_name(path, "component id", component)
         cvr_threshold = _threshold(path, content, "content_validity", cvr_threshold)
 
     dimension_scores, alpha_threshold = {}, 0.7
@@ -350,6 +374,7 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
         if not isinstance(grids, dict):
             raise InputFileError(str(path), "reliability needs a 'dimensions' object")
         for dim, grid in grids.items():
+            _check_name(path, "dimension", dim)
             # checked where it was decoded: ``cronbach_alpha`` converts one grid at a time
             try:
                 if type(grid) is not list or not {list}.issuperset(map(type, grid)):

@@ -16,6 +16,9 @@ LABELS = default_scale().labels
 # ASCII and other decimal digits, digits that are not decimal (No), and characters
 # that a line splitter or a CSV reader could take for a row or field end.
 ID_CHARS = "x_19٣²³¼①⑴ a,\"#\n\r\x00\x1c\u2028\u0085"
+# Psychometrics ids and dimension names may also hold a lone surrogate, which a
+# JSON file can only carry as an escape such as ``\ud800``.
+NAME_CHARS = ID_CHARS + "\ud800"
 # Endpoints at and just beyond the ends of [0, 1], and a few inside it.
 ENDPOINTS = [0, 0.0, 1e-13, -1e-13, 1e-300, 0.1, 0.3, 0.5, 0.9, 1 - 1e-13, 1, 1.0, 1 + 1e-13]
 HEIGHTS = [1, 1.0, 0.9, 0.5, 1e-300]
@@ -87,7 +90,7 @@ def scale_file(draw) -> str:
 def psychometrics_file(draw) -> str:
     doc = {}
     if draw(st.booleans()):
-        ids = draw(st.lists(st.text(alphabet=ID_CHARS, max_size=4), max_size=3))
+        ids = draw(st.lists(st.text(alphabet=NAME_CHARS, max_size=4), max_size=3))
         doc["content_validity"] = {
             "panel_size": draw(st.sampled_from([0, 1, 11, 2.0, 2.5, -1, True])),
             "essential_counts": {i: draw(st.sampled_from([0, 1, 5, 12, -1])) for i in ids},
@@ -95,8 +98,9 @@ def psychometrics_file(draw) -> str:
     if draw(st.booleans()):
         rows, items = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         grid = [[draw(st.sampled_from(SCORES)) for _ in range(items)] for _ in range(rows)]
-        doc["reliability"] = {"dimensions": {draw(st.text(alphabet=ID_CHARS, max_size=3)): grid}}
-    return json.dumps(doc, ensure_ascii=False)
+        doc["reliability"] = {"dimensions": {draw(st.text(alphabet=NAME_CHARS, max_size=3)): grid}}
+    # the file text is encoded to bytes, so the surrogate goes in as its JSON escape
+    return json.dumps(doc, ensure_ascii=False).replace("\ud800", "\\ud800")
 
 
 @st.composite

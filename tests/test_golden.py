@@ -13,12 +13,17 @@ backslash names and one ``-0.0`` endpoint) and CVR counts with three Likert
 grids, so the psychometrics section, the rank breakdowns and
 ``psychometrics.csv`` are pinned too. A report names its input by path, so
 the golden copies carry a placeholder in its place, or the relative path the
-run was given.
+run was given. The same files come out under a locale whose encoding is
+ASCII: outputs are written as UTF-8 whatever the locale.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import it2ipa
 from it2ipa import fixtures
 from it2ipa.cli import main
 
@@ -63,3 +68,26 @@ def test_aggregated_psychometrics_outputs_match_golden(tmp_path, capsys, monkeyp
     assert_outputs_match(GOLDEN_AGGREGATED / "out", source, str(source),
                          ["--aggregated", str(source), "--psychometrics", "psychometrics.json"],
                          tmp_path, capsys)
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    # LC_ALL=C without UTF-8 mode: the preferred encoding is ASCII, and the
+    # factor names and a dimension of this input are not
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(it2ipa.__file__).resolve().parents[1])}
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert encoding.lower().replace("-", "") != "utf8", encoding
+    done = subprocess.run(
+        [sys.executable, "-m", "it2ipa.cli", "--aggregated", "aggregated.csv",
+         "--psychometrics", "psychometrics.json", "--out", str(tmp_path), *FORMATS],
+        cwd=GOLDEN_AGGREGATED, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    golden = GOLDEN_AGGREGATED / "out"
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name

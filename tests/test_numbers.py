@@ -213,6 +213,12 @@ class TestDiv:
         with pytest.raises(DivisorSpansZeroError):
             div(CRISP_ONE, zero_low)
 
+    def test_divisor_with_an_inner_endpoint_at_zero_rejected(self):
+        # a1 > 0, but a2 strays to 0 within the order slack
+        stray = it2((1e-13, 0.0, 0.9, 0.9, 1, 1), (1e-13, 1e-13, 0.5, 0.9, 1, 1))
+        with pytest.raises(DivisorSpansZeroError, match="got lower bound 0.0"):
+            div(CRISP_ONE, stray)
+
     @given(
         st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
         st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),

@@ -426,6 +426,19 @@ class TestCli:
         assert diagnostic["file"] == str(path)
         assert "f1" in diagnostic["cause"] and "as_computed" in diagnostic["cause"]
 
+    def test_inner_importance_endpoint_at_zero_is_located(self, tmp_path, capsys):
+        # support starts at 1e-13, but the second endpoint is 0 within the order slack
+        path = tmp_path / "agg.csv"
+        path.write_text(
+            "factor_id,importance,performance\n"
+            'f1,"((1e-13,0,0.9,0.9;1,1),(0,1e-13,1e-13,0.9;1,1))",'
+            '"((0,0,0,0;1,1),(0,0,0,0;1,1))"\n'
+        )
+        assert main(["--aggregated", str(path)]) == 2
+        diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
+        assert diagnostic["file"] == str(path)
+        assert "f1" in diagnostic["cause"] and "as_computed" in diagnostic["cause"]
+
     # importance support starting just above 0: the as_computed score (performance /
     # importance) overflows the rank value at 1e-200 and is infinite at 1e-320
     @pytest.mark.parametrize("start", ["1e-200", "1e-320"])
@@ -465,6 +478,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert json.loads(err.removeprefix("error: "))["file"] == str(path)
+
+    @pytest.mark.parametrize("text,name", [
+        ('{"reliability": {"dimensions": {"\\ud800": [[1, 2], [2, 4], [3, 3]]}}}', "\ud800"),
+        ('{"content_validity": {"panel_size": 11, "essential_counts": {"x_1": 9, "\\udc80x": 5}}}',
+         "\udc80x"),
+    ], ids=["dimension", "component-id"])
+    def test_lone_surrogate_name_is_located(self, tmp_path, capsys, text, name):
+        path = tmp_path / "psy.json"
+        path.write_text(text)
+        argv = ["--psychometrics", str(path), "--out", str(tmp_path / "out"), "--format", "delimited"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        diagnostic = json.loads(err.removeprefix("error: "))
+        assert diagnostic["file"] == str(path) and repr(name) in diagnostic["cause"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
     @pytest.mark.parametrize("flag,text", [

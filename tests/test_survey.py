@@ -1,7 +1,10 @@
 """Rating ingestion, fuzzy aggregation, and psychometrics."""
 
+import gc
 import json
 import random
+import tracemalloc
+import warnings
 from statistics import variance
 
 import pytest
@@ -20,7 +23,9 @@ from it2ipa import (
     parse_aggregated,
     parse_ratings,
 )
-from it2ipa import fixtures, lookup
+import it2ipa.survey
+from it2ipa import default_scale, fixtures, lookup
+from it2ipa.cli import main
 from it2ipa.errors import InputFileError
 from it2ipa.survey import factor_sort_key
 from helpers import assert_it2_close, sequential_mean
@@ -302,6 +307,90 @@ class TestParseRatings:
             parse_ratings(path)
         assert (excinfo.value.file, excinfo.value.row) == (str(path), 2)
 
+    @pytest.fixture
+    def survey_300x100(self, tmp_path):
+        """300 factors x 100 experts of seeded labels in three cases, some padded: 15 distinct texts."""
+        rng = random.Random(300)
+        variants = [form for label in default_scale().labels
+                    for form in (label, label.upper(), label.lower())]
+        lines = ["factor_id,facet," + ",".join(f"E{j}" for j in range(100))]
+        for i in range(300):
+            for facet in ("importance", "performance"):
+                cells = (rng.choice(variants).center(rng.choice([0, 12])) for _ in range(100))
+                lines.append(f"x_{i},{facet}," + ",".join(cells))
+        path = tmp_path / "ratings.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_matrix_holds_one_string_per_distinct_label(self, survey_300x100):
+        matrix = parse_ratings(survey_300x100)
+        cells = [c for grid in (matrix.importance, matrix.performance) for row in grid for c in row]
+        assert len(cells) == 300 * 100 * 2
+        assert len({id(c) for c in cells}) == len(set(cells)) == 15
+
+    def test_parse_peak_grows_by_a_pointer_per_cell(self, survey_300x100):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parse_ratings(survey_300x100)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a list slot is 8 bytes; one str object per cell would be about 60 more
+        assert peak < 25 * 300 * 100 * 2
+
+
+# A record defect on line 3, then about 100 kB of well-formed records, then a record
+# that cannot be read at all: a byte that is not UTF-8, or a field over the csv limit.
+STREAM_HEADS = {
+    "--ratings": ("factor_id,facet,E1,E2\nf0,importance,Low,High\nf0,performance,Low\n",
+                  "f{},importance,Low,High\n"),
+    "--aggregated": ('factor_id,importance,performance\nf0,"{v}","{v}"\nf1,"{v}"\n',
+                     'f{},"{v}","{v}"\n'),
+}
+STREAM_TAILS = {"non-utf8": b"f\xff,importance,Low,High\n",
+                "long-field": b"f," + b"n" * 200_000 + b",Low,High\n"}
+
+
+class TestStreamedRecords:
+    @pytest.fixture(params=list(STREAM_HEADS))
+    def flag(self, request):
+        return request.param
+
+    @pytest.fixture(params=list(STREAM_TAILS))
+    def defective_file(self, tmp_path, flag, terms, request):
+        head, filler = (text.replace("{v}", terms["Low"].to_text()) for text in STREAM_HEADS[flag])
+        body = "".join(filler.format(i) for i in range(2, 5000))
+        path = tmp_path / "input.csv"
+        path.write_bytes((head + body).encode() + STREAM_TAILS[request.param])
+        assert path.stat().st_size > 100_000
+        return path
+
+    def test_first_defect_in_reading_order_is_reported(self, defective_file, flag, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main([flag, str(defective_file)]) == 2
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
+        assert (diagnostic["file"], diagnostic["row"]) == (str(defective_file), 3)
+        assert diagnostic["cause"].startswith("expected ")
+
+    def test_file_is_closed_while_the_error_is_alive(self, defective_file, flag, monkeypatch):
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(it2ipa.survey, "open", tracking_open, raising=False)
+        parse = parse_ratings if flag == "--ratings" else parse_aggregated
+        with pytest.raises(InputFileError, match="expected") as excinfo:
+            parse(defective_file)
+        # the traceback keeps the parser's frame, and so its record stream, alive
+        assert excinfo.value.row == 3
+        assert len(opened) == 1 and opened[0].closed
+
 
 class TestParseAggregated:
     def test_bundled_dataset(self, bundled_profiles):
@@ -444,6 +533,20 @@ class TestLoadPsychometrics:
         with pytest.raises(InputFileError, match="invalid JSON") as excinfo:
             load_psychometrics(path)
         assert excinfo.value.file == str(path)
+
+    @pytest.mark.parametrize("text,kind,name", [
+        ('{"reliability": {"dimensions": {"\\ud800": [[1, 2], [2, 4], [3, 3]]}}}',
+         "dimension", "\ud800"),
+        ('{"content_validity": {"panel_size": 11, "essential_counts": {"x_1": 9, "\\udc80x": 5}}}',
+         "component id", "\udc80x"),
+    ], ids=["dimension", "component-id"])
+    def test_lone_surrogate_in_a_name_is_refused(self, tmp_path, text, kind, name):
+        path = tmp_path / "psy.json"
+        path.write_text(text)
+        with pytest.raises(InputFileError, match="lone surrogate") as excinfo:
+            load_psychometrics(path)
+        assert excinfo.value.file == str(path)
+        assert f"{kind} {name!r}" in excinfo.value.cause
 
     def test_missing_panel_size(self, tmp_path):
         path = tmp_path / "psy.json"
