@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR",
                         help="output directory; without it the structured report goes to stdout")
     parser.add_argument("--format", action="append", choices=REPORT_FORMATS, dest="formats",
-                        metavar="FMT", help="report format, repeatable (default: structured)")
+                        metavar="FMT", help="report format under --out, repeatable (default: structured)")
     return parser
 
 
@@ -63,7 +63,10 @@ def _diagnostic(file: str | None, row: int | None, cause: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.formats and not args.out:
+        parser.error("--format needs --out: without it the structured report goes to stdout")
     config = PipelineConfig(
         scale_path=args.scale,
         thresholds=args.thresholds,

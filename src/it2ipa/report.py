@@ -8,6 +8,7 @@ import io
 import math
 import os
 from collections import namedtuple
+from collections.abc import Iterator
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -76,8 +77,10 @@ class Report(namedtuple("Report", (
     def sections(self):
         """Each top-level ``(key, value)`` of the structured report, in schema order.
 
-        A section is built when it is asked for, so a writer that consumes one
-        before it asks for the next holds one section at a time.
+        A section is built when it is asked for, and the factor tables
+        (``aggregated``, ``defuzzified`` and each kind under ``scores`` and
+        ``rankings``) are iterators that build one row per step, so a writer
+        that consumes each row before it asks for the next holds one row at a time.
         """
         yield "schema", SCHEMA
         yield "config", {
@@ -91,7 +94,7 @@ class Report(namedtuple("Report", (
             "bundled": self.used_bundled_input,
             "factor_count": len(self.profiles),
         }
-        yield "aggregated", [
+        yield "aggregated", (
             {
                 "factor": p.factor.id,
                 "name": p.factor.name,
@@ -100,8 +103,8 @@ class Report(namedtuple("Report", (
                 "performance": p.r_fuzzy.to_text(),
             }
             for p in self.profiles
-        ]
-        yield "defuzzified", [
+        )
+        yield "defuzzified", (
             {
                 "factor": p.factor.id,
                 "importance": p.e_w,
@@ -111,39 +114,56 @@ class Report(namedtuple("Report", (
                 "zone": p.region.zone,
             }
             for p in self.profiles
-        ]
+        )
         yield "partition", {
             "mode": self.config.partition_mode,
             "failure_candidates": [p.factor.id for p in self.failure_candidates],
             "success_candidates": [p.factor.id for p in self.success_candidates],
             "balanced": [p.factor.id for p in self.balanced],
         }
-
-        scores, rankings = {}, {}
-        for kind, ranking in (("success", self.success_ranking), ("failure", self.failure_ranking)):
-            scores[kind], rankings[kind] = [], []
-            for position, rf in enumerate(ranking, start=1):
-                value = rf.score.value.to_text()
-                score = {"factor": rf.factor.id, "value": value}
-                row = {
-                    "position": position,
-                    "factor": rf.factor.id,
-                    "rank": rf.rank,
-                    "value": value,
-                    "breakdown": rf.breakdown._asdict(),
-                }
-                if rf.score.mode is not None:
-                    score["mode"] = row["mode"] = rf.score.mode
-                scores[kind].append(score)
-                rankings[kind].append(row)
-        yield "scores", scores
-        yield "rankings", rankings
+        rankings = {"success": self.success_ranking, "failure": self.failure_ranking}
+        # each score's text, formatted once for both tables and freed after them
+        values = {kind: [rf.score.value.to_text() for rf in ranking] for kind, ranking in rankings.items()}
+        yield "scores", {kind: _score_rows(ranking, values[kind]) for kind, ranking in rankings.items()}
+        yield "rankings", {kind: _ranking_rows(ranking, values[kind])
+                           for kind, ranking in rankings.items()}
+        del values
         yield "map", self.map
         yield "psychometrics", self.psychometrics if self.psychometrics else {"provided": False}
         yield "notes", list(self.notes)
 
     def to_structured(self) -> dict:
-        return dict(self.sections())
+        """The structured report as plain dicts, lists and scalars."""
+        return {key: _listed(value) for key, value in self.sections()}
+
+
+def _score_rows(ranking, values):
+    for rf, value in zip(ranking, values):
+        row = {"factor": rf.factor.id, "value": value}
+        if rf.score.mode is not None:
+            row["mode"] = rf.score.mode
+        yield row
+
+
+def _ranking_rows(ranking, values):
+    for position, (rf, value) in enumerate(zip(ranking, values), start=1):
+        row = {
+            "position": position,
+            "factor": rf.factor.id,
+            "rank": rf.rank,
+            "value": value,
+            "breakdown": rf.breakdown._asdict(),
+        }
+        if rf.score.mode is not None:
+            row["mode"] = rf.score.mode
+        yield row
+
+
+def _listed(value):
+    """``value`` with each iterator in it, in dicts at any depth, made a list."""
+    if isinstance(value, dict):
+        return {key: _listed(v) for key, v in value.items()}
+    return list(value) if isinstance(value, Iterator) else value
 
 
 def _summarize_psychometrics(data: Psychometrics, source: str) -> dict:
@@ -293,7 +313,9 @@ def run_pipeline(
     Exactly one of ``ratings_path`` / ``aggregated_path`` may be given; with
     neither, the bundled reference dataset is used. The result is a pure
     function of the inputs and the configuration. Each stage runs once per
-    factor and builds new immutable records.
+    factor and builds new immutable records. Of several defects, the first
+    reported is in the scale file, then the main input, then the psychometrics
+    file, and last a failure score that cannot be computed or ranked.
     """
     if ratings_path is not None and aggregated_path is not None:
         raise ValueError("give either a ratings file or an aggregated file, not both")
@@ -319,6 +341,13 @@ def run_pipeline(
         profiles = parse_aggregated(aggregated_path)
         input_source = str(aggregated_path)
         used_bundled = Path(aggregated_path).resolve() == fixtures.aggregated_path().resolve()
+
+    # Summarized before the factors are placed and scored, so that the score
+    # grids are freed before those stages allocate.
+    psychometrics = None
+    if psychometrics_path is not None:
+        psychometrics = _summarize_psychometrics(load_psychometrics(psychometrics_path),
+                                                 str(psychometrics_path))
 
     placed = []
     for p in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
@@ -346,11 +375,6 @@ def run_pipeline(
         failure_ranking = scoring.rank_order(failure_scores)
     except scoring.NonFiniteScoreError as exc:  # importance support starting just above 0
         raise InputFileError(input_source, str(exc)) from exc
-
-    psychometrics = None
-    if psychometrics_path is not None:
-        data = load_psychometrics(psychometrics_path)
-        psychometrics = _summarize_psychometrics(data, str(psychometrics_path))
 
     report = Report(
         config=config,
@@ -391,7 +415,7 @@ def _write_atomic(path: Path, chunks) -> None:
         raise IoFailureError(path, exc) from exc
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -403,47 +427,38 @@ def _crisp(value: float) -> str:
     return f"{value:.{DISPLAY_DECIMALS}f}"
 
 
-def _delimited_files(report: Report) -> dict[str, str]:
+def _delimited_files(report: Report):
+    """Each delimited file as ``(name, text)``, built when it is asked for."""
     nd = DISPLAY_DECIMALS
-    files = {
-        "aggregated.csv": _csv_text(
-            ["factor_id", "name", "dimension", "importance", "performance"],
-            [
-                [p.factor.id, p.factor.name, p.factor.dimension,
-                 p.w_fuzzy.to_text(nd), p.r_fuzzy.to_text(nd)]
-                for p in report.profiles
-            ],
-        ),
-        "defuzzified.csv": _csv_text(
-            ["factor_id", "name", "dimension", "importance", "performance",
-             "importance_band", "performance_band", "zone"],
-            [
-                [p.factor.id, p.factor.name, p.factor.dimension,
-                 _crisp(p.e_w), _crisp(p.e_r),
-                 p.region.importance_band, p.region.performance_band, p.region.zone]
-                for p in report.profiles
-            ],
-        ),
-        "map.txt": ipamap.render_text(report.map),
-        "notes.txt": "".join(f"{i}. {note}\n" for i, note in enumerate(report.notes, start=1)),
-    }
+    yield "aggregated.csv", _csv_text(
+        ["factor_id", "name", "dimension", "importance", "performance"],
+        ([p.factor.id, p.factor.name, p.factor.dimension,
+          p.w_fuzzy.to_text(nd), p.r_fuzzy.to_text(nd)]
+         for p in report.profiles),
+    )
+    yield "defuzzified.csv", _csv_text(
+        ["factor_id", "name", "dimension", "importance", "performance",
+         "importance_band", "performance_band", "zone"],
+        ([p.factor.id, p.factor.name, p.factor.dimension,
+          _crisp(p.e_w), _crisp(p.e_r),
+          p.region.importance_band, p.region.performance_band, p.region.zone]
+         for p in report.profiles),
+    )
+    yield "map.txt", ipamap.render_text(report.map)
+    yield "notes.txt", "".join(f"{i}. {note}\n" for i, note in enumerate(report.notes, start=1))
     for kind, candidates, ranking in (("success", report.success_candidates, report.success_ranking),
                                       ("failure", report.failure_candidates, report.failure_ranking)):
         ranked = {rf.factor.id: rf for rf in ranking}
-        files[f"scores_{kind}.csv"] = _csv_text(
+        yield f"scores_{kind}.csv", _csv_text(
             ["factor_id", "kind", "mode", "value"],
-            [
-                [rf.factor.id, kind, rf.score.mode or "", rf.score.value.to_text(nd)]
-                for rf in (ranked[p.factor.id] for p in candidates)  # candidates are in id order
-            ],
+            ([rf.factor.id, kind, rf.score.mode or "", rf.score.value.to_text(nd)]
+             for rf in (ranked[p.factor.id] for p in candidates)),  # candidates are in id order
         )
-        files[f"ranking_{kind}.csv"] = _csv_text(
+        yield f"ranking_{kind}.csv", _csv_text(
             ["position", "factor_id", "rank", *scoring.RankBreakdown._fields[:-1]],
-            [
-                [str(i), rf.factor.id, f"{rf.rank:.6f}"]
-                + [f"{term:.6f}" for term in rf.breakdown[:-1]]  # ``rank`` is the last field
-                for i, rf in enumerate(ranking, start=1)
-            ],
+            ([str(i), rf.factor.id, f"{rf.rank:.6f}"]
+             + [f"{term:.6f}" for term in rf.breakdown[:-1]]  # ``rank`` is the last field
+             for i, rf in enumerate(ranking, start=1)),
         )
     if report.psychometrics:
         rows = []
@@ -461,10 +476,7 @@ def _delimited_files(report: Report) -> dict[str, str]:
                     "cronbach_alpha", dim["dimension"], f"{dim['alpha']:.6f}",
                     f"{reliability['threshold']:.6g}", str(dim["passes"]).lower(),
                 ])
-        files["psychometrics.csv"] = _csv_text(
-            ["metric", "id", "value", "threshold", "passes"], rows
-        )
-    return files
+        yield "psychometrics.csv", _csv_text(["metric", "id", "value", "threshold", "passes"], rows)
 
 
 def _float_text(value: float) -> str:
@@ -511,19 +523,54 @@ def to_json(doc: dict) -> str:
     return _json_text(doc, "", "\n")
 
 
-def json_chunks(sections):
-    """The text of ``to_json(dict(sections))`` for a non-empty ``sections``, in pieces.
+# Rows are joined into chunks of about this many characters before they are
+# handed on: a write per row made the structured emit of aggregated-5000
+# (50,000 pieces) about 3 % slower, and a chunk is small beside the report.
+_CHUNK_CHARS = 16384
 
-    Each section's value is rendered only when the one before it has been
-    handed on, so a caller that writes the pieces out as they come holds one
-    section's text at a time.
+
+def json_chunks(sections):
+    """The text of ``to_json(dict(sections))``, in pieces, with each iterator in it as a list.
+
+    A dict is rendered one value at a time, and a list, tuple or iterator one
+    item at a time; each item is rendered whole. Each piece is rendered only
+    when the one before it has been handed on, so a caller that writes the
+    pieces out as they come holds one piece, of about ``_CHUNK_CHARS``
+    characters or one item, at a time.
     """
-    separator = "{\n  "
-    for key, value in sections:
-        yield f"{separator}{encode_basestring_ascii(key)}: "
-        yield _json_text(value, "  ")
-        separator = ",\n  "
-    yield "\n}\n"
+    yield from _object_chunks(sections, "")
+    yield "\n"
+
+
+def _object_chunks(pairs, indent: str):
+    inner = indent + "  "
+    opening, separator = "{\n" + inner, ",\n" + inner
+    for key, value in pairs:
+        yield f"{opening}{encode_basestring_ascii(key)}: "
+        opening = separator
+        if isinstance(value, dict):
+            yield from _object_chunks(value.items(), inner)
+        elif isinstance(value, (list, tuple, Iterator)):
+            yield from _array_chunks(value, inner)
+        else:
+            yield _json_text(value, inner)
+    yield "{}" if opening[0] == "{" else f"\n{indent}}}"
+
+
+def _array_chunks(items, indent: str):
+    inner = indent + "  "
+    opening, separator = "[\n" + inner, ",\n" + inner
+    rows, size = [], 0
+    for item in items:
+        rows.append(_json_text(item, inner))
+        size += len(rows[-1])
+        if size >= _CHUNK_CHARS:
+            yield opening + separator.join(rows)
+            opening, rows, size = separator, [], 0
+    if rows:
+        yield f"{opening}{separator.join(rows)}\n{indent}]"
+    else:
+        yield "[]" if opening[0] == "[" else f"\n{indent}]"
 
 
 def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
@@ -540,12 +587,12 @@ def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
     written: list[Path] = []
     for format in dict.fromkeys(formats):
         if format == STRUCTURED:
-            files = {"report.json": json_chunks(report.sections())}
+            files = [("report.json", json_chunks(report.sections()))]
         elif format == DELIMITED:
-            files = {name: [text] for name, text in _delimited_files(report).items()}
+            files = ((name, [text]) for name, text in _delimited_files(report))
         else:
-            files = {"map.svg": [ipamap.render_svg(report.profiles, report.config.thresholds)]}
-        for name, chunks in files.items():
+            files = [("map.svg", [ipamap.render_svg(report.profiles, report.config.thresholds)])]
+        for name, chunks in files:  # each file is built after the one before it is written
             _write_atomic(out / name, chunks)
             written.append(out / name)
     return written

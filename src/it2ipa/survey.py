@@ -48,8 +48,12 @@ _DIGITS = re.compile(r"(\d{1,640})")
 
 
 def factor_sort_key(factor_id: str):
-    """Natural ordering key so x_2 sorts before x_10."""
-    return tuple(int(p) if p.isdecimal() else p for p in _DIGITS.split(factor_id))
+    """Natural ordering key so x_2 sorts before x_10.
+
+    Ids that read as the same number (``x1``, ``x01``, ``x١``) are ordered by
+    their text, so that the order is total and no output follows the input order.
+    """
+    return tuple(int(p) if p.isdecimal() else p for p in _DIGITS.split(factor_id)), factor_id
 
 
 def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfile]:

@@ -1,4 +1,7 @@
-"""Generated input files and flags through ``cli.main``: a report or a located diagnostic, always."""
+"""Generated input files and flags through ``cli.main``: a report or a located diagnostic, always.
+
+Valid inputs give a report, and the same report on stdout, in ``report.json`` and from the library.
+"""
 
 import contextlib
 import io
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 
 from it2ipa import default_scale
 from it2ipa.cli import main
+from it2ipa.report import PipelineConfig, REPORT_FORMATS, json_chunks, run_pipeline, to_json
+from helpers import it2_values
 
 LABELS = default_scale().labels
 # ASCII and other decimal digits, digits that are not decimal (No), and characters
@@ -166,3 +171,93 @@ def test_every_run_gives_a_report_or_a_located_diagnostic(invocation):
             errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
             assert code == 2 and len(errors) == 1, err.getvalue()
             assert json.loads(errors[0].removeprefix("error: "))["file"] is not None, errors[0]
+
+
+# Ids that read as the same number (x1, x01, x١), one with a digit that is not a
+# decimal, and ids from a few safe characters.
+VALID_IDS = st.sampled_from(["x1", "x01", "x\u0661", "x\u00b2"]) | st.text(
+    alphabet="xy_01\u0661\u00b2 a-", min_size=1, max_size=4
+).map(str.strip).filter(lambda i: i and not i.startswith("#"))
+VALID_NAME_CHARS = st.characters(blacklist_categories=("Cs",))
+# Supports inside one map band each at the default cuts, from 0.01 so that an
+# as_computed failure score always has a divisor.
+BANDS = [(0.01, 0.3), (0.36, 0.63), (0.7, 1.0)]
+
+
+@st.composite
+def valid_aggregated_file(draw) -> str:
+    """One to four factors; in one file of four, each factor's importance is its performance."""
+    ids = draw(st.lists(VALID_IDS, min_size=1, max_size=4, unique=True))
+    balanced = draw(st.sampled_from([False, False, False, True]))
+    lines = ["factor_id,importance,performance"]
+    for fid in ids:
+        band = draw(st.integers(0, 2))
+        importance = draw(it2_values(*BANDS[band]))
+        # another band first, so that most files have candidates to score and rank
+        shift = draw(st.sampled_from([1, 2, 0]))
+        performance = importance if balanced else draw(it2_values(*BANDS[(band + shift) % 3]))
+        lines.append(",".join([_quoted(fid), _quoted(importance.to_text()),
+                               _quoted(performance.to_text())]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def valid_psychometrics_file(draw) -> str:
+    panel = draw(st.integers(1, 20))
+    ids = draw(st.lists(st.text(alphabet=VALID_NAME_CHARS, max_size=4), max_size=3))
+    names = draw(st.lists(st.text(alphabet=VALID_NAME_CHARS, max_size=4), min_size=1, max_size=2,
+                          unique=True))
+    grids = {}
+    for name in names:
+        rows, items = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        # the first item sets each respondent's total apart, so the total variance is not 0
+        grids[name] = [[100 * i] + [draw(st.integers(0, 9)) for _ in range(items - 1)]
+                       for i in range(rows)]
+    return json.dumps({
+        "content_validity": {"panel_size": panel,
+                             "essential_counts": {i: draw(st.integers(0, panel)) for i in ids}},
+        "reliability": {"dimensions": grids},
+    })
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+def _plain(value) -> bool:
+    """Whether ``value`` is made of dicts with str keys, lists and scalars only."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(valid_aggregated_file(), st.none() | valid_psychometrics_file(),
+       st.sampled_from(["region", "comparison"]), st.sampled_from(["as_computed", "as_written"]))
+def test_every_valid_input_gives_the_same_report_everywhere(aggregated, psychometrics,
+                                                            partition_mode, cffs_mode):
+    with tempfile.TemporaryDirectory() as work:
+        agg, psy, out = Path(work, "aggregated.csv"), Path(work, "psychometrics.json"), Path(work, "out")
+        agg.write_text(aggregated, encoding="utf-8")
+        argv = ["--aggregated", str(agg), "--partition-mode", partition_mode, "--cffs-mode", cffs_mode]
+        if psychometrics is not None:
+            psy.write_text(psychometrics, encoding="utf-8")
+            argv += ["--psychometrics", str(psy)]
+        code, text = _main(argv)
+        assert code == 0
+        code, listing = _main(argv + ["--out", str(out),
+                                      *(arg for fmt in REPORT_FORMATS for arg in ("--format", fmt))])
+        assert code == 0 and listing.splitlines()[0] == str(out / "report.json")
+        assert text.encode() == (out / "report.json").read_bytes()
+
+        report = run_pipeline(PipelineConfig(partition_mode=partition_mode, cffs_mode=cffs_mode),
+                              aggregated_path=agg,
+                              psychometrics_path=psy if psychometrics is not None else None)
+        doc = report.to_structured()
+        assert _plain(doc)
+        assert "".join(json_chunks(report.sections())) == to_json(doc) == text

@@ -184,6 +184,32 @@ class TestRunPipeline:
         assert report.profiles[0].e_w > report.profiles[0].e_r
 
 
+@pytest.fixture(scope="module")
+def report_2000(tmp_path_factory):
+    """A report on 2000 random factors, most of them scored and ranked."""
+    rng = random.Random(2000)
+    rows = "".join(
+        f'f{i},"{random_it2(rng).to_text()}","{random_it2(rng).to_text()}"\n'
+        for i in range(2000)
+    )
+    path = tmp_path_factory.mktemp("agg") / "agg.csv"
+    path.write_text("factor_id,importance,performance\n" + rows)
+    return run_pipeline(PipelineConfig(), aggregated_path=path)
+
+
+def emit_peak(report, out_dir, formats) -> tuple[int, int]:
+    """The traced memory peak of one ``emit`` above what it started with, and the bytes written."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        written = emit(report, out_dir, formats)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, sum(p.stat().st_size for p in written)
+
+
 class TestEmit:
     def test_structured_report_has_18_factor_entries(self, tmp_path):
         report = run_default()
@@ -270,6 +296,16 @@ class TestEmit:
         # the whole document and its joined text come to about 3x the file
         assert peak < 1.5 * (tmp_path / "out" / "report.json").stat().st_size
 
+    def test_structured_emit_holds_one_row_at_a_time(self, report_2000, tmp_path):
+        # a whole section (the rankings) came to 1.3x the file
+        peak, size = emit_peak(report_2000, tmp_path, [STRUCTURED])
+        assert peak < 0.25 * size
+
+    def test_delimited_emit_holds_one_file_at_a_time(self, report_2000, tmp_path):
+        # every file built before the first was written came to 2.2x their bytes
+        peak, size = emit_peak(report_2000, tmp_path, [DELIMITED])
+        assert peak < 1.6 * size
+
     def test_failed_structured_emit_leaves_no_file(self, tmp_path):
         report = run_default()._replace(psychometrics={"alpha": float("nan")})
         with pytest.raises(ValueError, match="Out of range float"):
@@ -312,6 +348,15 @@ class TestToJson:
     @given(st.dictionaries(st.text(max_size=5), JSON_DOCS, min_size=1, max_size=5))
     def test_chunks_join_to_the_document_text(self, doc):
         assert "".join(json_chunks(doc.items())) == to_json(doc)
+
+    def test_chunks_of_long_lists_and_iterators_join_to_the_document_text(self):
+        # lists over many chunks, and one item longer than a chunk as the last of its list
+        rows = [{"i": i, "text": "x" * (i % 50)} for i in range(3000)]
+        doc = {"rows": rows, "nested": {"rows": iter(rows), "empty": iter(()), "big": ["y" * 20000]},
+               "ids": tuple(map(str, range(5000)))}
+        plain = {"rows": rows, "nested": {"rows": rows, "empty": [], "big": ["y" * 20000]},
+                 "ids": list(map(str, range(5000)))}
+        assert "".join(json_chunks(doc.items())) == to_json(plain)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"a": {"b": (v,)}}],
@@ -413,6 +458,13 @@ class TestCli:
             main(["--thresholds", "0.9,0.1"])
         assert excinfo.value.code == 2
 
+    def test_format_without_out_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--format", "svg-map"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format needs --out" in captured.err
+
     def test_zero_importance_support_in_comparison_mode_is_located(self, tmp_path, capsys):
         # Low/Low importance has support starting at 0, the as_computed divisor
         path = tmp_path / "ratings.csv"
@@ -455,6 +507,48 @@ class TestCli:
         diagnostic = json.loads(err.removeprefix("error: "))
         assert diagnostic["file"] == str(path)
         assert "f1" in diagnostic["cause"] and "as_computed" in diagnostic["cause"]
+
+    # a divisor with an inner endpoint at 0, and a rank value that overflows
+    @pytest.mark.parametrize("importance", [
+        "((1e-13,0,0.9,0.9;1,1),(0,1e-13,1e-13,0.9;1,1))",
+        "((1e-200,0.9,0.9,1.0;1,1),(0.5,0.9,0.9,0.95;0.9,0.9))",
+    ], ids=["divisor", "non-finite-rank"])
+    def test_psychometrics_defect_is_reported_before_a_scoring_defect(self, tmp_path, capsys,
+                                                                     importance):
+        agg, psy = tmp_path / "agg.csv", tmp_path / "psy.json"
+        agg.write_text(f'factor_id,importance,performance\nf1,"{importance}",'
+                       '"((0,0,0.1,0.2;1,1),(0.05,0.05,0.05,0.1;0.9,0.9))"\n')
+        assert main(["--aggregated", str(agg)]) == 2
+        assert json.loads(capsys.readouterr().err.removeprefix("error: "))["file"] == str(agg)
+        psy.write_text('{"content_validity": {"panel_size": 11.9, "essential_counts": {}}}')
+        assert main(["--aggregated", str(agg), "--psychometrics", str(psy)]) == 2
+        assert json.loads(capsys.readouterr().err.removeprefix("error: "))["file"] == str(psy)
+        # a defect in reading the main input still comes first
+        agg.write_text(agg.read_text() + "f2,broken,broken\n")
+        assert main(["--aggregated", str(agg), "--psychometrics", str(psy)]) == 2
+        diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
+        assert (diagnostic["file"], diagnostic["row"]) == (str(agg), 3)
+
+    def test_row_order_of_the_input_changes_no_output(self, tmp_path, capsys):
+        # ids that read as the same number tie on score and rank within each group
+        high = '"((0.7,0.8,0.8,0.9;1,1),(0.75,0.8,0.8,0.85;0.9,0.9))"'
+        low = '"((0.1,0.2,0.2,0.3;1,1),(0.15,0.2,0.2,0.25;0.9,0.9))"'
+        rows = [f"{fid},{high},{low}\n" for fid in ("x1", "x01", "x\u0661")]  # weaknesses
+        rows += [f"{fid},{low},{high}\n" for fid in ("y1", "y01", "y\u0661")]  # strengths
+        path = tmp_path / "agg.csv"
+        outputs = set()
+        for order in (rows, rows[::-1], rows[1::2] + rows[::2]):
+            path.write_text("factor_id,importance,performance\n" + "".join(order), encoding="utf-8")
+            assert main(["--aggregated", str(path)]) == 0
+            out = tmp_path / "out"
+            assert main(["--aggregated", str(path), "--out", str(out),
+                         *(arg for fmt in REPORT_FORMATS for arg in ("--format", fmt))]) == 0
+            files = tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir()))
+            outputs.add((capsys.readouterr().out, files))
+        assert len(outputs) == 1
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [row["factor"] for row in doc["rankings"]["failure"]] == ["x01", "x1", "x\u0661"]
+        assert [row["factor"] for row in doc["scores"]["success"]] == ["y01", "y1", "y\u0661"]
 
     @pytest.mark.parametrize("doc", [
         {"reliability": [1]},

@@ -1,6 +1,7 @@
 """Rating ingestion, fuzzy aggregation, and psychometrics."""
 
 import gc
+import itertools
 import json
 import random
 import tracemalloc
@@ -206,6 +207,13 @@ def test_factor_sort_key_takes_any_digits():
     # superscript two is a digit but not a decimal; 5000 digits exceed int()'s default limit
     ids = ["x_" + "1" * 5000, "x_²", "x_10", "x_٣", "x_2"]
     assert sorted(ids, key=factor_sort_key) == ["x_2", "x_٣", "x_10", "x_" + "1" * 5000, "x_²"]
+
+
+def test_factor_sort_key_is_total():
+    # the same number written three ways, in every input order
+    ids = ["x1", "x01", "x١", "x1a", "x2"]
+    for order in itertools.permutations(ids):
+        assert sorted(order, key=factor_sort_key) == ["x01", "x1", "x١", "x1a", "x2"]
 
 
 RATINGS_CSV = """factor_id,name,dimension,facet,E1,E2,E3
