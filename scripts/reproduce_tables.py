@@ -4,7 +4,7 @@ by stage, how closely each reference table is reproduced."""
 
 import argparse
 
-from it2ipa import fixtures, render_text
+from it2ipa import fixtures, render_text, scoring
 from it2ipa.report import REPORT_FORMATS, PipelineConfig, emit, reference_comparison, run_pipeline
 from it2ipa.survey import factor_sort_key
 
@@ -12,8 +12,7 @@ from it2ipa.survey import factor_sort_key
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", metavar="DIR", help="also emit the full report here")
-    parser.add_argument("--cffs-mode", choices=("as_computed", "as_written"),
-                        default="as_computed")
+    parser.add_argument("--cffs-mode", choices=scoring.FAILURE_MODES, default=scoring.AS_COMPUTED)
     args = parser.parse_args()
 
     report = run_pipeline(PipelineConfig(cffs_mode=args.cffs_mode))

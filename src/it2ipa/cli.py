@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="custom linguistic scale (default: built-in five-term scale)")
     parser.add_argument("--thresholds", type=_thresholds, default=MapThresholds(),
                         metavar="T1,T2", help="map band cut points (default: 1/3,2/3)")
-    parser.add_argument("--partition-mode", choices=(ipamap.REGION_MODE, ipamap.COMPARISON_MODE),
+    parser.add_argument("--partition-mode", choices=ipamap.PARTITION_MODES,
                         default=ipamap.REGION_MODE,
                         help="how factors become success/failure candidates (default: region)")
     parser.add_argument("--cffs-mode", choices=scoring.FAILURE_MODES,

@@ -13,6 +13,7 @@ STRENGTH = "strength"
 
 REGION_MODE = "region"
 COMPARISON_MODE = "comparison"
+PARTITION_MODES = (REGION_MODE, COMPARISON_MODE)
 
 
 class OutOfRangeError(ValueError):
@@ -79,7 +80,7 @@ def partition(
     crisp values directly (importance above performance means a failure
     candidate). Each output list keeps the order of ``profiles``.
     """
-    if mode not in (REGION_MODE, COMPARISON_MODE):
+    if mode not in PARTITION_MODES:
         raise ValueError(f"mode must be '{REGION_MODE}' or '{COMPARISON_MODE}', got {mode!r}")
     parts: dict[str, list[PlacedFactor]] = {WEAKNESS: [], STRENGTH: [], BALANCED: []}
     for profile in profiles:

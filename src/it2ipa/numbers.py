@@ -112,7 +112,7 @@ class IT2TrapFN(namedtuple("IT2TrapFN", "upper lower")):
         """The canonical text, exact or rounded to ``decimals`` places (no trailing zeros, no -0)."""
         values = self.upper + self.lower
         if decimals is None:
-            return _EXACT_TEXT % tuple(map(float, values))
+            return _EXACT_TEXT % (*map(float, values),)
         text = _rounded_text(decimals) % values
         if decimals > 0:  # every number has a point, so only zeros after it can end one
             text = _TRAILING_ZEROS.sub("", text)

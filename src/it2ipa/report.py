@@ -57,7 +57,7 @@ class PipelineConfig(namedtuple("PipelineConfig", "scale_path thresholds partiti
 
     def __new__(cls, scale_path: str | None = None, thresholds: MapThresholds = MapThresholds(),
                 partition_mode: str = ipamap.REGION_MODE, cffs_mode: str = scoring.AS_COMPUTED):
-        if partition_mode not in (ipamap.REGION_MODE, ipamap.COMPARISON_MODE):
+        if partition_mode not in ipamap.PARTITION_MODES:
             raise ValueError(f"unknown partition mode: {partition_mode!r}")
         if cffs_mode not in scoring.FAILURE_MODES:
             raise ValueError(f"unknown failure-score mode: {cffs_mode!r}")
@@ -492,35 +492,26 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text,
                 type(None): {None: "null"}.get}
 
 
-def _json_text(value, indent: str, end: str = "") -> str:
-    """``value`` as ``json.dumps(..., indent=2)`` writes it at ``indent``, followed by ``end``."""
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at ``indent``."""
     if isinstance(value, dict):
         pairs, brackets = zip([encode_basestring_ascii(k) + ": " for k in value], value.values()), "{}"
     elif isinstance(value, (list, tuple)):
         pairs, brackets = zip(repeat(""), value), "[]"
-    else:  # a document that is one scalar, or an instance of a subclass of one
+    else:  # a scalar, or an instance of a subclass of one
         for kind, write in _SCALAR_TEXT.items():
             if isinstance(value, kind):
-                return write(value) + end
+                return write(value)
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
-        return brackets + end
+        return brackets
     inner = indent + "  "
     items = [key + (write(v) if (write := _SCALAR_TEXT.get(type(v))) else _json_text(v, inner))
              for key, v in pairs]
     # Brackets join the end items, so that only the join copies the whole text.
     items[0] = f"{brackets[0]}\n{inner}{items[0]}"
-    items[-1] = f"{items[-1]}\n{indent}{brackets[1]}{end}"
+    items[-1] = f"{items[-1]}\n{indent}{brackets[1]}"
     return f",\n{inner}".join(items)
-
-
-def to_json(doc: dict) -> str:
-    """The text of a structured document as written: strict JSON, no NaN or infinity.
-
-    ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` for string keys,
-    without the pure-Python encoder that ``json.dumps`` uses when it indents.
-    """
-    return _json_text(doc, "", "\n")
 
 
 # Rows are joined into chunks of about this many characters before they are
@@ -530,8 +521,11 @@ _CHUNK_CHARS = 16384
 
 
 def json_chunks(sections):
-    """The text of ``to_json(dict(sections))``, in pieces, with each iterator in it as a list.
+    """The text of ``json.dumps(dict(sections), indent=2, allow_nan=False) + "\\n"``, in pieces.
 
+    Keys must be strings, and a NaN or infinity raises ``ValueError``. Each
+    iterator is written as a list, and ``json.dumps``'s pure-Python indenting
+    encoder is not used.
     A dict is rendered one value at a time, and a list, tuple or iterator one
     item at a time; each item is rendered whole. Each piece is rendered only
     when the one before it has been handed on, so a caller that writes the

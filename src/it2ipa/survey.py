@@ -167,25 +167,48 @@ def data_rows(path: Path):
         raise InputFileError(str(path), f"unreadable CSV record: {exc}", row=lineno) from exc
 
 
-def _split_header(path: Path, header: list[str], lineno: int, tail: list[str]) -> tuple[dict, list[str]]:
-    """Map optional leading columns, return (column index map, remaining headers)."""
-    lowered = [h.lower() for h in header]
-    if not lowered or lowered[0] != "factor_id":
-        raise InputFileError(str(path), "header must start with 'factor_id'", row=lineno)
-    idx = {"factor_id": 0}
-    pos = 1
-    for optional in ("name", "dimension"):
-        if pos < len(lowered) and lowered[pos] == optional:
-            idx[optional] = pos
+def _factor_table(path: Path, kind: str, columns: tuple[str, ...]):
+    """Read a CSV table of factors, headed ``factor_id[,name][,dimension]`` and then ``columns``.
+
+    Yields ``(line, the header's columns after columns)`` first, then ``(line,
+    Factor, the cells from the first of columns on)`` for each data row. Header
+    names match in any case; ``kind`` names the file when the table is empty.
+    """
+    with closing(data_rows(path)) as rows:
+        header_line, header = next(rows, (None, None))
+        if header is None:
+            raise InputFileError(str(path), f"empty {kind} file: no header row")
+        lowered = [h.lower() for h in header]
+        if lowered[0] != "factor_id":
+            raise InputFileError(str(path), "header must start with 'factor_id'", row=header_line)
+        pos = 1
+        name_at = dimension_at = 0  # 0: the column is absent
+        if lowered[pos:pos + 1] == ["name"]:
+            name_at, pos = pos, pos + 1
+        if lowered[pos:pos + 1] == ["dimension"]:
+            dimension_at, pos = pos, pos + 1
+        first_cell = pos
+        for required in columns:
+            if lowered[pos:pos + 1] != [required]:
+                raise InputFileError(
+                    str(path), f"expected column {required!r} at position {pos + 1}", row=header_line
+                )
             pos += 1
-    for required in tail:
-        if pos >= len(lowered) or lowered[pos] != required:
-            raise InputFileError(
-                str(path), f"expected column {required!r} at position {pos + 1}", row=lineno
-            )
-        idx[required] = pos
-        pos += 1
-    return idx, header[pos:]
+        yield header_line, header[pos:]
+
+        found = False
+        for lineno, row in rows:
+            if len(row) != len(header):
+                raise InputFileError(
+                    str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
+                )
+            fid = row[0]
+            name = row[name_at] if name_at else fid
+            dimension = row[dimension_at] if dimension_at else "general"
+            yield lineno, Factor(fid, name or fid, dimension or "general"), row[first_cell:]
+            found = True
+    if not found:
+        raise InputFileError(str(path), f"empty {kind} file: no data rows")
 
 
 def parse_ratings(path: str | Path) -> RatingMatrix:
@@ -197,42 +220,30 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
     as a stream, and equal label texts share one ``str`` in the matrix.
     """
     path = Path(path)
-    with closing(data_rows(path)) as rows:
-        header_line, header = next(rows, (None, None))
-        if header is None:
-            raise InputFileError(str(path), "empty ratings file: no header row")
-        idx, experts = _split_header(path, header, header_line, ["facet"])
+    with closing(_factor_table(path, "ratings", ("facet",))) as table:
+        header_line, experts = next(table)
         if not experts:
             raise InputFileError(str(path), "no expert columns after 'facet'", row=header_line)
 
-        first_cell = len(header) - len(experts)
         labels: dict[str, str] = {}  # one string per distinct label text
         factors: list[Factor] = []
         by_id: dict[str, dict[str, list[str]]] = {}
-        for lineno, row in rows:
-            if len(row) != len(header):
-                raise InputFileError(
-                    str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
-                )
-            fid = row[idx["factor_id"]]
-            facet = row[idx["facet"]].lower()
+        for lineno, factor, cells in table:
+            fid = factor.id
+            facet_text = cells.pop(0)
+            facet = facet_text.lower()
             if facet not in FACETS:
                 raise InputFileError(
-                    str(path), f"facet must be one of {FACETS}, got {row[idx['facet']]!r}", row=lineno
+                    str(path), f"facet must be one of {FACETS}, got {facet_text!r}", row=lineno
                 )
-            cells = row[first_cell:]
             if not all(cells):
                 raise InputFileError(str(path), f"factor {fid}: empty {facet} cell", row=lineno)
             if fid not in by_id:
-                name = row[idx["name"]] if "name" in idx else fid
-                dimension = row[idx["dimension"]] if "dimension" in idx else "general"
-                factors.append(Factor(fid, name or fid, dimension or "general"))
+                factors.append(factor)
                 by_id[fid] = {}
             if facet in by_id[fid]:
                 raise InputFileError(str(path), f"duplicate {facet} row for factor {fid}", row=lineno)
             by_id[fid][facet] = list(map(labels.setdefault, cells, cells))
-    if not factors:
-        raise InputFileError(str(path), "empty ratings file: no data rows")
 
     for factor in factors:
         missing = [f for f in FACETS if f not in by_id[factor.id]]
@@ -241,7 +252,7 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
 
     return RatingMatrix(
         factors=factors,
-        experts=list(experts),
+        experts=experts,
         importance=[by_id[f.id][IMPORTANCE] for f in factors],
         performance=[by_id[f.id][PERFORMANCE] for f in factors],
     )
@@ -255,11 +266,8 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
     structurally valid numbers with support inside [0, 1].
     """
     path = Path(path)
-    with closing(data_rows(path)) as rows:
-        header_line, header = next(rows, (None, None))
-        if header is None:
-            raise InputFileError(str(path), "empty aggregated file: no header row")
-        idx, extra = _split_header(path, header, header_line, [IMPORTANCE, PERFORMANCE])
+    with closing(_factor_table(path, "aggregated", FACETS)) as table:
+        header_line, extra = next(table)
         if extra:
             raise InputFileError(
                 str(path), f"unexpected trailing columns: {extra}", row=header_line
@@ -267,21 +275,15 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
 
         profiles = []
         seen: set[str] = set()
-        for lineno, row in rows:
-            if len(row) != len(header):
-                raise InputFileError(
-                    str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
-                )
-            fid = row[idx["factor_id"]]
+        for lineno, factor, cells in table:
+            fid = factor.id
             if fid in seen:
                 raise InputFileError(str(path), f"duplicate factor id {fid}", row=lineno)
             seen.add(fid)
-            name = row[idx["name"]] if "name" in idx else fid
-            dimension = row[idx["dimension"]] if "dimension" in idx else "general"
-            values = {}
-            for facet in FACETS:
+            values = []
+            for facet, text in zip(FACETS, cells):
                 try:
-                    value = IT2TrapFN.from_text(row[idx[facet]])
+                    value = IT2TrapFN.from_text(text)
                 except ValueError as exc:
                     raise InputFileError(str(path), f"factor {fid} {facet}: {exc}", row=lineno) from exc
                 problems = value_problems(value)
@@ -289,13 +291,8 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
                     raise InputFileError(
                         str(path), f"factor {fid} {facet}: {'; '.join(problems)}", row=lineno
                     )
-                values[facet] = value
-            profiles.append(FactorProfile(
-                Factor(fid, name or fid, dimension or "general"),
-                values[IMPORTANCE], values[PERFORMANCE],
-            ))
-    if not profiles:
-        raise InputFileError(str(path), "empty aggregated file: no data rows")
+                values.append(value)
+            profiles.append(FactorProfile(factor, *values))
     return profiles
 
 

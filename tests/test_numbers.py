@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -88,6 +89,22 @@ class TestCanonicalText:
     def test_display_rounding(self):
         n = it2((0.0066, 1.0, 1.0, 2.7453, 1, 1), (0.0221, 1.0, 1.0, 1.9057, 0.9, 0.9))
         assert n.to_text(3) == "((0.007,1,1,2.745;1,1),(0.022,1,1,1.906;0.9,0.9))"
+
+    def test_exact_text_leaves_no_tuples_behind(self, terms):
+        # Holding 12-tuples empties the interpreter's free list of them, which
+        # otherwise keeps up to 2000 dropped 12-tuples (about 270 KiB) alive.
+        held = [(*range(i, i + 12),) for i in range(2500)]
+        values = list(terms.values()) * 400  # 2000 calls
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for value in values:
+                value.to_text()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        del held
+        assert grown < 16 * 1024
 
     @pytest.mark.parametrize("value,decimals,text", [
         (10.0, 0, "10"), (20, 0, "20"), (100.0, 2, "100"), (-0.5, 0, "0"), (-100.5, 1, "-100.5"),

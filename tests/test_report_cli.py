@@ -22,7 +22,7 @@ from it2ipa.cli import main
 from it2ipa.errors import InputFileError
 from it2ipa.report import (
     DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, emit, json_chunks,
-    reference_comparison, run_pipeline, to_json,
+    reference_comparison, run_pipeline,
 )
 from helpers import random_it2
 
@@ -39,6 +39,15 @@ RATINGS_OK = (
 
 def run_default(**kwargs):
     return run_pipeline(PipelineConfig(**kwargs))
+
+
+def dumps(doc) -> str:
+    """The text ``json_chunks`` must give for ``doc``."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def chunks_text(doc: dict) -> str:
+    return "".join(json_chunks(doc.items()))
 
 
 class TestRunPipeline:
@@ -265,7 +274,7 @@ class TestEmit:
 
     def test_json_is_strict(self):
         with pytest.raises(ValueError):
-            to_json({"alpha": float("nan")})
+            chunks_text({"alpha": float("nan")})
 
     @pytest.mark.parametrize("inputs", [
         {},
@@ -275,7 +284,7 @@ class TestEmit:
     ], ids=["bundled", "ratings", "aggregated"])
     def test_section_chunks_join_to_the_structured_text(self, inputs):
         report = run_pipeline(PipelineConfig(), **inputs)
-        assert "".join(json_chunks(report.sections())) == to_json(report.to_structured())
+        assert "".join(json_chunks(report.sections())) == dumps(report.to_structured())
 
     def test_structured_emit_holds_one_section_at_a_time(self, tmp_path):
         rng = random.Random(2000)
@@ -342,12 +351,13 @@ class TestToJson:
     @settings(max_examples=300)
     @given(JSON_DOCS)
     def test_equals_indented_dumps(self, doc):
-        assert to_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        doc = {"doc": doc}
+        assert chunks_text(doc) == dumps(doc)
 
     @settings(max_examples=150)
     @given(st.dictionaries(st.text(max_size=5), JSON_DOCS, min_size=1, max_size=5))
     def test_chunks_join_to_the_document_text(self, doc):
-        assert "".join(json_chunks(doc.items())) == to_json(doc)
+        assert chunks_text(doc) == dumps(doc)
 
     def test_chunks_of_long_lists_and_iterators_join_to_the_document_text(self):
         # lists over many chunks, and one item longer than a chunk as the last of its list
@@ -356,19 +366,19 @@ class TestToJson:
                "ids": tuple(map(str, range(5000)))}
         plain = {"rows": rows, "nested": {"rows": rows, "empty": [], "big": ["y" * 20000]},
                  "ids": list(map(str, range(5000)))}
-        assert "".join(json_chunks(doc.items())) == to_json(plain)
+        assert chunks_text(doc) == dumps(plain)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"a": {"b": (v,)}}],
                              ids=["bare", "list", "nested"])
     def test_non_finite_float_rejected(self, value, wrap):
         with pytest.raises(ValueError, match="Out of range float"):
-            to_json(wrap(value))
+            chunks_text({"doc": wrap(value)})
 
     @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [{"a": 1j}], {1: "int key"}])
     def test_unsupported_type_or_key_rejected(self, value):
         with pytest.raises(TypeError):
-            to_json(value)
+            chunks_text({"doc": value})
 
     def test_subclasses_written_as_their_base_type(self):
         class Level(enum.IntEnum):
@@ -381,9 +391,9 @@ class TestToJson:
             pass
 
         doc = {Label("k"): [Level.HIGH, Label("x"), Ratio(0.5), collections.OrderedDict(a=True)]}
-        assert to_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert chunks_text(doc) == dumps(doc)
         with pytest.raises(ValueError):
-            to_json([Ratio("inf")])
+            chunks_text({"doc": [Ratio("inf")]})
 
 
 class TestCli:

@@ -400,6 +400,68 @@ class TestStreamedRecords:
         assert len(opened) == 1 and opened[0].closed
 
 
+LOW = "((0,0.1,0.1,0.3;1,1),(0.05,0.1,0.1,0.2;0.9,0.9))"
+BAD_FACET = "facet must be one of ('importance', 'performance'), got {!r}"
+NOT_CANONICAL = "factor f1 {}: not a canonical interval type-2 trapezoid: {!r}"
+
+# case: (parser, file text, row, cause). An accepted header is followed by a
+# row whose defect shows where its columns were found.
+FACTOR_TABLE_DIAGNOSTICS = {
+    "ratings-empty": (parse_ratings, "", None, "empty ratings file: no header row"),
+    "aggregated-empty": (parse_aggregated, "", None, "empty aggregated file: no header row"),
+    "ratings-comments-only": (parse_ratings, "# a\n\n# b\n", None,
+                              "empty ratings file: no header row"),
+    "aggregated-comments-only": (parse_aggregated, "# a\n\n# b\n", None,
+                                 "empty aggregated file: no header row"),
+    "ratings-header-start": (parse_ratings, "# a\nid,facet,E1\n", 2,
+                             "header must start with 'factor_id'"),
+    "aggregated-header-start": (parse_aggregated, "# a\nid,importance,performance\n", 2,
+                                "header must start with 'factor_id'"),
+    "ratings-missing-column": (parse_ratings, "factor_id,name,E1\n", 1,
+                               "expected column 'facet' at position 3"),
+    "aggregated-missing-column": (parse_aggregated, "factor_id,name,dimension,importance\n", 1,
+                                  "expected column 'performance' at position 5"),
+    "ratings-upper-case": (parse_ratings, "FACTOR_ID,Name,DIMENSION,Facet,E1\nf1,n,d,Weight,Low\n",
+                           2, BAD_FACET.format("Weight")),
+    "aggregated-upper-case": (parse_aggregated,
+                              "Factor_ID,NAME,Dimension,IMPORTANCE,Performance\nf1,n,d,broken,x\n",
+                              2, NOT_CANONICAL.format("importance", "broken")),
+    "ratings-dimension-without-name": (parse_ratings,
+                                       "factor_id,dimension,facet,E1\nf1,d,weight,Low\n",
+                                       2, BAD_FACET.format("weight")),
+    "aggregated-dimension-without-name": (
+        parse_aggregated, f'factor_id,dimension,importance,performance\nf1,d,"{LOW}",x\n',
+        2, NOT_CANONICAL.format("performance", "x")),
+    "ratings-no-experts": (parse_ratings, "factor_id,name,facet\n", 1,
+                           "no expert columns after 'facet'"),
+    "aggregated-trailing-columns": (parse_aggregated, "factor_id,importance,performance,extra,More\n",
+                                    1, "unexpected trailing columns: ['extra', 'More']"),
+    "ratings-short-row-after-quoted-newline": (
+        parse_ratings,
+        'factor_id,name,facet,E1,E2\nf1,"two\nlines",importance,Low,High\nf2,"y\nz",importance,Low\n',
+        4, "expected 5 cells, found 4"),
+    "aggregated-short-row-after-quoted-newline": (
+        parse_aggregated,
+        f'factor_id,name,importance,performance\nf1,"two\nlines","{LOW}","{LOW}"\nf2,"y\nz","{LOW}"\n',
+        4, "expected 4 cells, found 3"),
+    "ratings-no-data-rows": (parse_ratings, "factor_id,facet,E1\n# none\n", None,
+                             "empty ratings file: no data rows"),
+    "aggregated-no-data-rows": (parse_aggregated, "factor_id,importance,performance\n\n", None,
+                                "empty aggregated file: no data rows"),
+}
+
+
+@pytest.mark.parametrize("case", list(FACTOR_TABLE_DIAGNOSTICS))
+def test_factor_table_diagnostics(tmp_path, case):
+    parse, text, row, cause = FACTOR_TABLE_DIAGNOSTICS[case]
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(InputFileError) as excinfo:
+        parse(path)
+    error = excinfo.value
+    assert (error.file, error.row, error.cause) == (str(path), row, cause)
+
+
 class TestParseAggregated:
     def test_bundled_dataset(self, bundled_profiles):
         assert len(bundled_profiles) == 18
