@@ -31,14 +31,14 @@ def main() -> int:
     print(f"  worst deviation: {worst:.5f} (tolerance 0.001)\n")
 
     print("== Score tuples vs reference ==")
-    for kind in ("success", "failure"):
+    for kind in (scoring.SUCCESS, scoring.FAILURE):
         print(f"  {kind}: {len(comparison[kind]['reference_candidates'])} factors, "
               f"max endpoint deviation {comparison[kind]['deviation']:.4f} (tolerance 0.005)")
     print()
 
     print("== Rankings (computed rank values; reference values are not derivable) ==")
-    for kind, ranking in (("failure", report.failure_ranking),
-                          ("success", report.success_ranking)):
+    for kind, ranking in ((scoring.FAILURE, report.failure_ranking),
+                          (scoring.SUCCESS, report.success_ranking)):
         print(f"  {kind}: computed order {comparison[kind]['order']} | "
               f"reference order {comparison[kind]['reference_order']}")
         for i, rf in enumerate(ranking, start=1):

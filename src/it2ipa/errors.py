@@ -44,3 +44,5 @@ def read_json(path: Path):
         raise InputFileError(
             str(path), f"invalid JSON: {exc}", row=getattr(exc, "lineno", None)
         ) from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's limit
+        raise InputFileError(str(path), f"invalid JSON: nested too deeply ({exc})") from exc

@@ -68,8 +68,8 @@ class Trapezoid(namedtuple("Trapezoid", "a1 a2 a3 a4 h1 h2")):
 
     @property
     def is_ordered(self) -> bool:
-        pairs = ((self.a1, self.a2), (self.a2, self.a3), (self.a3, self.a4))
-        return all(right >= left - _ORDER_SLACK for left, right in pairs)
+        return (self.a2 >= self.a1 - _ORDER_SLACK and self.a3 >= self.a2 - _ORDER_SLACK
+                and self.a4 >= self.a3 - _ORDER_SLACK)
 
 
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -164,8 +164,20 @@ def it2(upper: tuple, lower: tuple) -> IT2TrapFN:
     return IT2TrapFN(Trapezoid(*upper), Trapezoid(*lower))
 
 
-def _min_heights(x: Trapezoid, y: Trapezoid) -> tuple[float, float]:
-    return (min(x.h1, y.h1), min(x.h2, y.h2))
+_ONE = IT2TrapFN.crisp(1.0)
+
+
+def _pairwise(a: IT2TrapFN, b: IT2TrapFN, op, cross: bool = False) -> IT2TrapFN:
+    """The one endpoint-wise rule: ``op`` on each endpoint pair, heights by minimum.
+
+    Within the upper and within the lower trapezoid, endpoint k of ``a`` pairs
+    with endpoint k of ``b`` or, when ``cross``, with endpoint 5-k.
+    """
+    def trap(x: Trapezoid, y: Trapezoid) -> Trapezoid:
+        ys = y[3::-1] if cross else y[:4]
+        return Trapezoid(*map(op, x[:4], ys), min(x.h1, y.h1), min(x.h2, y.h2))
+
+    return IT2TrapFN(trap(a.upper, b.upper), trap(a.lower, b.lower))
 
 
 def _warn_if_unordered(result: IT2TrapFN, op: str) -> IT2TrapFN:
@@ -180,11 +192,7 @@ def _warn_if_unordered(result: IT2TrapFN, op: str) -> IT2TrapFN:
 
 def add(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
     """Component-wise endpoint sums; heights combine by minimum."""
-    def trap(x: Trapezoid, y: Trapezoid) -> Trapezoid:
-        return Trapezoid(x.a1 + y.a1, x.a2 + y.a2, x.a3 + y.a3, x.a4 + y.a4,
-                         *_min_heights(x, y))
-
-    return IT2TrapFN(trap(a.upper, b.upper), trap(a.lower, b.lower))
+    return _pairwise(a, b, operator.add)
 
 
 def sub(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
@@ -193,11 +201,7 @@ def sub(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
     The result can be non-monotone; it is returned raw with an
     ``OrderingViolatedWarning`` rather than re-sorted.
     """
-    def trap(x: Trapezoid, y: Trapezoid) -> Trapezoid:
-        return Trapezoid(x.a1 - y.a1, x.a2 - y.a2, x.a3 - y.a3, x.a4 - y.a4,
-                         *_min_heights(x, y))
-
-    return _warn_if_unordered(IT2TrapFN(trap(a.upper, b.upper), trap(a.lower, b.lower)), "sub")
+    return _warn_if_unordered(_pairwise(a, b, operator.sub), "sub")
 
 
 def mul(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
@@ -211,12 +215,7 @@ def mul(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
             f"multiplication needs non-negative supports, got lower bounds "
             f"{a.upper.a1} and {b.upper.a1}"
         )
-
-    def trap(x: Trapezoid, y: Trapezoid) -> Trapezoid:
-        return Trapezoid(x.a1 * y.a1, x.a2 * y.a2, x.a3 * y.a3, x.a4 * y.a4,
-                         *_min_heights(x, y))
-
-    return IT2TrapFN(trap(a.upper, b.upper), trap(a.lower, b.lower))
+    return _pairwise(a, b, operator.mul)
 
 
 def div(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
@@ -232,23 +231,14 @@ def div(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
         raise DivisorSpansZeroError(
             f"divisor support must be strictly positive, got lower bound {low}"
         )
-
-    def trap(x: Trapezoid, y: Trapezoid) -> Trapezoid:
-        return Trapezoid(x.a1 / y.a4, x.a2 / y.a3, x.a3 / y.a2, x.a4 / y.a1,
-                         *_min_heights(x, y))
-
-    return _warn_if_unordered(IT2TrapFN(trap(a.upper, b.upper), trap(a.lower, b.lower)), "div")
+    return _warn_if_unordered(_pairwise(a, b, operator.truediv, cross=True), "div")
 
 
 def scalar_div(a: IT2TrapFN, m: int) -> IT2TrapFN:
     """Divide every endpoint by a positive integer; heights unchanged."""
     if m < 1:
         raise InvalidDivisorError(f"divisor must be a positive integer, got {m}")
-
-    def trap(t: Trapezoid) -> Trapezoid:
-        return Trapezoid(t.a1 / m, t.a2 / m, t.a3 / m, t.a4 / m, t.h1, t.h2)
-
-    return IT2TrapFN(trap(a.upper), trap(a.lower))
+    return _pairwise(a, IT2TrapFN.crisp(m), operator.truediv)
 
 
 def mean(values) -> IT2TrapFN:
@@ -276,7 +266,4 @@ def one_minus(a: IT2TrapFN) -> IT2TrapFN:
 
     Applying it twice returns the input (involution).
     """
-    def trap(t: Trapezoid) -> Trapezoid:
-        return Trapezoid(1.0 - t.a4, 1.0 - t.a3, 1.0 - t.a2, 1.0 - t.a1, t.h1, t.h2)
-
-    return IT2TrapFN(trap(a.upper), trap(a.lower))
+    return _pairwise(_ONE, a, operator.sub, cross=True)

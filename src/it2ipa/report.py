@@ -121,7 +121,7 @@ class Report(namedtuple("Report", (
             "success_candidates": [p.factor.id for p in self.success_candidates],
             "balanced": [p.factor.id for p in self.balanced],
         }
-        rankings = {"success": self.success_ranking, "failure": self.failure_ranking}
+        rankings = {scoring.SUCCESS: self.success_ranking, scoring.FAILURE: self.failure_ranking}
         # each score's text, formatted once for both tables and freed after them
         values = {kind: [rf.score.value.to_text() for rf in ranking] for kind, ranking in rankings.items()}
         yield "scores", {kind: _score_rows(ranking, values[kind]) for kind, ranking in rankings.items()}
@@ -446,8 +446,9 @@ def _delimited_files(report: Report):
     )
     yield "map.txt", ipamap.render_text(report.map)
     yield "notes.txt", "".join(f"{i}. {note}\n" for i, note in enumerate(report.notes, start=1))
-    for kind, candidates, ranking in (("success", report.success_candidates, report.success_ranking),
-                                      ("failure", report.failure_candidates, report.failure_ranking)):
+    for kind, candidates, ranking in (
+            (scoring.SUCCESS, report.success_candidates, report.success_ranking),
+            (scoring.FAILURE, report.failure_candidates, report.failure_ranking)):
         ranked = {rf.factor.id: rf for rf in ranking}
         yield f"scores_{kind}.csv", _csv_text(
             ["factor_id", "kind", "mode", "value"],

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
+from functools import reduce
 
 from . import numbers
 from .numbers import IT2TrapFN, Trapezoid
@@ -102,7 +104,8 @@ def rank_value(a: IT2TrapFN) -> RankBreakdown:
     """Chen-Lee ranking value of an interval type-2 trapezoid.
 
     Accepts raw (possibly non-monotone) tuples; every term is returned in
-    the breakdown so the total can be audited.
+    the breakdown so the total can be audited. Each group of terms is summed
+    left to right in the breakdown's field order.
     """
     def terms(t: Trapezoid):
         e = t.endpoints
@@ -115,20 +118,13 @@ def rank_value(a: IT2TrapFN) -> RankBreakdown:
         )
         return means, deviations
 
-    (m1u, m2u, m3u), (s1u, s2u, s3u, s4u) = terms(a.upper)
-    (m1l, m2l, m3l), (s1l, s2l, s3l, s4l) = terms(a.lower)
-    h1u, h2u = a.upper.heights
-    h1l, h2l = a.lower.heights
-    total = (
-        (m1u + m2u + m3u + m1l + m2l + m3l)
-        - 0.25 * (s1u + s2u + s3u + s4u + s1l + s2l + s3l + s4l)
-        + (h1u + h2u + h1l + h2l)
-    )
-    return RankBreakdown(
-        m1u, m2u, m3u, m1l, m2l, m3l,
-        s1u, s2u, s3u, s4u, s1l, s2l, s3l, s4l,
-        h1u, h2u, h1l, h2l, total,
-    )
+    (means_u, deviations_u), (means_l, deviations_l) = terms(a.upper), terms(a.lower)
+    means, deviations = means_u + means_l, deviations_u + deviations_l
+    heights = a.upper.heights + a.lower.heights
+    # reduce, not builtin sum: from Python 3.12 sum compensates rounding
+    total = (reduce(operator.add, means) - 0.25 * reduce(operator.add, deviations)
+             + reduce(operator.add, heights))
+    return RankBreakdown(*means, *deviations, *heights, total)
 
 
 def rank_order(scores: list[FuzzyScore]) -> list[RankedFactor]:

@@ -1,8 +1,11 @@
 """Arithmetic on interval type-2 trapezoids: frozen cases and algebra laws."""
 
 import math
+import operator
 import random
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -311,3 +314,113 @@ class TestOneMinus:
         assert max_endpoint_gap(back, a) <= 1e-12
         assert back.upper.heights == a.upper.heights
         assert back.lower.heights == a.lower.heights
+
+
+# Raw operands: endpoints in any order, heights anywhere in (0, 1]. The bounds keep
+# every exact result inside the float range, so float(Fraction(...)) does not overflow.
+def raw_it2(lo: float, hi: float):
+    ends = st.floats(min_value=lo, max_value=hi)
+    heights = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    trap = st.builds(Trapezoid, ends, ends, ends, ends, heights, heights)
+    return st.builds(IT2TrapFN, trap, trap)
+
+
+def assert_endpoint_rule(result, a, b, op, cross):
+    """Each endpoint is the exact result of ``op`` rounded once; heights are minima.
+
+    Within each trapezoid, endpoint k of ``a`` pairs with endpoint k of ``b``, or with
+    endpoint 5-k when ``cross``. One IEEE operation is correctly rounded, so the float
+    result must equal the exact rational result converted to float.
+    """
+    for r, x, y in zip(result, a, b):
+        ys = y.endpoints[::-1] if cross else y.endpoints
+        assert r.endpoints == tuple(float(op(Fraction(p), Fraction(q)))
+                                    for p, q in zip(x.endpoints, ys))
+        assert r.heights == (min(x.h1, y.h1), min(x.h2, y.h2))
+
+
+class TestEndpointRule:
+    @given(raw_it2(-1e6, 1e6), raw_it2(-1e6, 1e6))
+    def test_add_and_sub_pair_like_endpoints(self, a, b):
+        assert_endpoint_rule(add(a, b), a, b, operator.add, cross=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OrderingViolatedWarning)
+            assert_endpoint_rule(sub(a, b), a, b, operator.sub, cross=False)
+
+    @given(raw_it2(0.0, 1e6), raw_it2(0.0, 1e6))
+    def test_mul_pairs_like_endpoints(self, a, b):
+        assert_endpoint_rule(mul(a, b), a, b, operator.mul, cross=False)
+
+    @given(raw_it2(-1e6, 1e6), raw_it2(1e-3, 1e6))
+    def test_div_pairs_cross_reversed_endpoints(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OrderingViolatedWarning)
+            assert_endpoint_rule(div(a, b), a, b, operator.truediv, cross=True)
+
+    @given(raw_it2(-1e6, 1e6), st.integers(min_value=1, max_value=10**6))
+    def test_scalar_div_divides_by_a_crisp_divisor(self, a, m):
+        assert_endpoint_rule(scalar_div(a, m), a, IT2TrapFN.crisp(m), operator.truediv, cross=False)
+
+    @given(raw_it2(-1e6, 1e6))
+    def test_one_minus_is_crisp_one_minus_the_reversed_endpoints(self, a):
+        assert_endpoint_rule(one_minus(a), CRISP_ONE, a, operator.sub, cross=True)
+
+    @pytest.mark.parametrize("op", [sub, div])
+    def test_ordering_warning_names_the_callers_file(self, op):
+        raw = it2((0.5, 0.4, 0.4, 0.4, 1, 1), (0.5, 0.4, 0.4, 0.4, 0.9, 0.9))
+        with pytest.warns(OrderingViolatedWarning) as record:
+            op(raw, CRISP_ONE)
+        assert [w.filename for w in record] == [__file__]
+
+
+SLACK = 1e-12
+
+
+class TestOrderTest:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("base", [0.0, 0.5, -3.0])
+    def test_a_step_down_of_exactly_the_slack_is_ordered(self, base, k):
+        ends = [base] * k + [base - SLACK] * (4 - k)
+        assert Trapezoid(*ends).is_ordered
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("base", [0.0, 0.5, -3.0])
+    def test_a_step_down_of_twice_the_slack_is_not(self, base, k):
+        ends = [base] * k + [base - 2 * SLACK] * (4 - k)
+        assert not Trapezoid(*ends).is_ordered
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_anywhere_is_not_ordered(self, k):
+        ends = [0.0, 0.1, 0.2, 0.3]
+        ends[k] = math.nan
+        assert not Trapezoid(*ends).is_ordered
+
+    @pytest.mark.parametrize("ends,ordered", [
+        ((-math.inf, 0.0, 0.0, math.inf), True),
+        ((math.inf,) * 4, True),
+        ((-math.inf,) * 4, True),
+        ((0.0, 0.0, math.inf, 1.0), False),
+        ((0.0, -math.inf, 0.0, 0.0), False),
+        ((math.inf, 0.0, 0.0, 0.0), False),
+    ])
+    def test_infinite_endpoints(self, ends, ordered):
+        assert Trapezoid(*ends).is_ordered is ordered
+
+    def test_violations_at_the_slack_boundary(self):
+        at_slack = it2((0.0, 0.0, 0.5, 0.5, 1, 1), (-SLACK, 0.0, 0.5, 0.5 + SLACK, 1, 1))
+        assert at_slack.violations() == []
+        past_slack = it2((0.0, -2 * SLACK, 0.5, 0.5, 0.8, 1),
+                         (-2 * SLACK, 0.0, -2 * SLACK, 0.5 + 2 * SLACK, 0.9, 1))
+        assert past_slack.violations() == [
+            "upper endpoints not non-decreasing: (0.0, -2e-12, 0.5, 0.5)",
+            "lower endpoints not non-decreasing: (-2e-12, 0.0, -2e-12, 0.500000000002)",
+            "lower support not contained in upper support",
+            "lower heights exceed upper heights",
+        ]
+
+    def test_violations_with_nan_and_infinite_endpoints(self):
+        value = it2((math.nan, 0.0, 0.0, math.inf, 1, 1), (0.0, 0.0, 0.0, math.nan, 1, 1))
+        assert value.violations() == [
+            "upper endpoints not non-decreasing: (nan, 0.0, 0.0, inf)",
+            "lower endpoints not non-decreasing: (0.0, 0.0, 0.0, nan)",
+        ]

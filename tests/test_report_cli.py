@@ -599,6 +599,20 @@ class TestCli:
         assert diagnostic["file"] == str(path) and repr(name) in diagnostic["cause"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--psychometrics", "--scale"])
+    @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
+                                      '{"a":' * 200_000 + "1" + "}" * 200_000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_json_is_located(self, tmp_path, capsys, flag, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main([flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        diagnostic = json.loads(err.removeprefix("error: "))
+        assert diagnostic["file"] == str(path)
+        assert diagnostic["cause"].startswith("invalid JSON: nested too deeply")
+
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
     @pytest.mark.parametrize("flag,text", [
         ("--ratings", RATINGS_OK.replace("Second", "Sec\xe9nd")),

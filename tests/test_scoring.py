@@ -1,5 +1,6 @@
 """Criticality scores and the Chen-Lee ranking value."""
 
+import math
 import random
 from statistics import pstdev
 
@@ -20,7 +21,8 @@ from it2ipa import (
     rank_value,
     success_score,
 )
-from it2ipa.scoring import NonFiniteScoreError
+from it2ipa.numbers import Trapezoid
+from it2ipa.scoring import NonFiniteScoreError, RankBreakdown, _pair_deviation, _quad_deviation
 from helpers import assert_it2_close, it2_values, random_it2
 
 F = Factor("f", "f", "d")
@@ -104,6 +106,44 @@ def rank_oracle(a: IT2TrapFN) -> float:
     return total
 
 
+def rank_value_term_by_term(a: IT2TrapFN) -> RankBreakdown:
+    """The ranking value with each of its 19 terms named: the bit-for-bit reference."""
+    def terms(t):
+        e = t.endpoints
+        means = ((e[0] + e[1]) / 2.0, (e[1] + e[2]) / 2.0, (e[2] + e[3]) / 2.0)
+        deviations = (
+            _pair_deviation(e[0], e[1]),
+            _pair_deviation(e[1], e[2]),
+            _pair_deviation(e[2], e[3]),
+            _quad_deviation(e),
+        )
+        return means, deviations
+
+    (m1u, m2u, m3u), (s1u, s2u, s3u, s4u) = terms(a.upper)
+    (m1l, m2l, m3l), (s1l, s2l, s3l, s4l) = terms(a.lower)
+    h1u, h2u = a.upper.heights
+    h1l, h2l = a.lower.heights
+    total = (
+        (m1u + m2u + m3u + m1l + m2l + m3l)
+        - 0.25 * (s1u + s2u + s3u + s4u + s1l + s2l + s3l + s4l)
+        + (h1u + h2u + h1l + h2l)
+    )
+    return RankBreakdown(
+        m1u, m2u, m3u, m1l, m2l, m3l,
+        s1u, s2u, s3u, s4u, s1l, s2l, s3l, s4l,
+        h1u, h2u, h1l, h2l, total,
+    )
+
+
+def same_float(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def raw_trapezoids(ends):
+    heights = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    return st.builds(Trapezoid, ends, ends, ends, ends, heights, heights)
+
+
 class TestRankValue:
     def test_crisp_law(self):
         # all means are c, all deviations zero, four unit heights
@@ -143,6 +183,29 @@ class TestRankValue:
     def test_accepts_raw_tuples(self):
         raw = it2((0.5, 0.4, 0.4, 0.4, 1, 1), (0.5, 0.4, 0.4, 0.4, 0.9, 0.9))
         assert rank_value(raw).rank == pytest.approx(rank_oracle(raw), abs=1e-12)
+
+    @given(st.one_of(
+        st.builds(IT2TrapFN, raw_trapezoids(st.floats(0.0, 1.0)), raw_trapezoids(st.floats(0.0, 1.0))),
+        st.builds(IT2TrapFN, raw_trapezoids(st.floats()), raw_trapezoids(st.floats())),
+    ))
+    def test_every_field_equals_the_term_by_term_formula(self, a):
+        got, want = rank_value(a), rank_value_term_by_term(a)
+        assert all(map(same_float, got, want)), (got, want)
+
+    @pytest.mark.parametrize("a", [
+        it2((0.5, 0.4, 0.4, 0.4, 1, 1), (0.5, 0.4, 0.4, 0.4, 0.9, 0.9)),
+        it2((0.9, 0.1, 0.7, 0.2, 0.3, 1), (0.6, 0.3, 0.5, 0.1, 0.2, 0.7)),
+        # (v - mean) ** 2 overflows: the quad deviation is inf and the total -inf
+        it2((-1e200, 1e200, -1e200, 1e200, 1, 1), (0.1, 0.2, 0.3, 0.4, 1, 1)),
+        it2((0.0, 0.0, 0.0, 1e300, 1, 1), (-1e300, 0.0, 0.0, 0.0, 1, 1)),
+    ], ids=["raw", "raw-shuffled", "quad-overflow", "quad-overflow-both"])
+    def test_raw_and_overflowing_tuples_equal_the_term_by_term_formula(self, a):
+        got, want = rank_value(a), rank_value_term_by_term(a)
+        assert all(map(same_float, got, want)), (got, want)
+
+    def test_overflowing_quad_deviation_is_infinite(self):
+        b = rank_value(it2((-1e200, 1e200, -1e200, 1e200, 1, 1), (0.1, 0.2, 0.3, 0.4, 1, 1)))
+        assert b.s4u == math.inf and b.rank == -math.inf
 
     def test_breakdown_fields_complete(self):
         names = set(rank_value(IT2TrapFN.crisp(0.1))._fields)
