@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 import warnings
 from collections import namedtuple
 from functools import cache, reduce
@@ -182,10 +183,15 @@ def _pairwise(a: IT2TrapFN, b: IT2TrapFN, op, cross: bool = False) -> IT2TrapFN:
 
 def _warn_if_unordered(result: IT2TrapFN, op: str) -> IT2TrapFN:
     if not result.is_ordered:
+        # Name the first caller outside this module, whether it called sub/div
+        # or went through an operator such as ``x - y``.
+        level = 3
+        while sys._getframe(level - 1).f_globals is globals():
+            level += 1
         warnings.warn(
             f"{op} produced non-monotone endpoints; raw tuple returned",
             OrderingViolatedWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     return result
 
@@ -244,7 +250,9 @@ def scalar_div(a: IT2TrapFN, m: int) -> IT2TrapFN:
 def mean(values) -> IT2TrapFN:
     """The mean operator: endpoint sums over ``values`` divided by their count.
 
-    ``values`` is a non-empty sequence. Each endpoint is summed left to right, seeded with the first value, and
+    ``values`` is a non-empty sequence. ``zip`` transposes it, in C, into the
+    upper and the lower trapezoids and each of those into its columns. Each
+    endpoint column is summed left to right, seeded with the first value, and
     heights are the minimum over ``values``, so the result equals
     ``scalar_div(reduce(add, values), len(values))`` bit for bit while
     building no partial sums. (Builtin ``sum`` is not used: from Python 3.12
@@ -258,7 +266,8 @@ def mean(values) -> IT2TrapFN:
         *ends, h1, h2 = zip(*traps)
         return Trapezoid(*(reduce(operator.add, column) / m for column in ends), min(h1), min(h2))
 
-    return IT2TrapFN(trap(v.upper for v in values), trap(v.lower for v in values))
+    uppers, lowers = zip(*values)
+    return IT2TrapFN(trap(uppers), trap(lowers))
 
 
 def one_minus(a: IT2TrapFN) -> IT2TrapFN:

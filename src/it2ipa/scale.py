@@ -28,10 +28,14 @@ class LinguisticScale(namedtuple("LinguisticScale", "terms")):
     """Ordered (label, value) pairs from the weakest to the strongest term."""
 
     def __init__(self, terms):
-        # label key -> value of the first term with that key; derived, so not compared
+        # label key -> value of the first term with that key; derived, so not compared.
+        # Each label as the scale spells it maps to its key's value too, so that
+        # lookup finds such a cell with one probe (_key(_key(s)) == _key(s)).
         self._by_key: dict[str, IT2TrapFN] = {}
         for label, value in terms:
             self._by_key.setdefault(_key(label), value)
+        for label, _ in terms:
+            self._by_key.setdefault(label, self._by_key[_key(label)])
 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace builds _by_key
 
@@ -62,11 +66,15 @@ def lookup(scale: LinguisticScale, label: str) -> IT2TrapFN:
     """Resolve a label case-insensitively, ignoring surrounding whitespace.
 
     No fuzzy matching: anything that is not an exact term raises
-    ``UnknownTermError`` listing the legal vocabulary.
+    ``UnknownTermError`` listing the legal vocabulary. A label spelled as the
+    scale spells it, or already stripped and case-folded, takes one dictionary
+    probe; any other spelling is stripped and case-folded first.
     """
-    value = scale._by_key.get(_key(label))
+    value = scale._by_key.get(label)
     if value is None:
-        raise UnknownTermError(label, scale.labels)
+        value = scale._by_key.get(_key(label))
+        if value is None:
+            raise UnknownTermError(label, scale.labels)
     return value
 
 

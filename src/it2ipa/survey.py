@@ -61,7 +61,9 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
 
     Implements the mean operator (``numbers.mean``): the fuzzy sum over
     experts, in expert order, divided by the expert count. Result heights are
-    the minimum across experts. An unknown label names its factor, expert and
+    the minimum across experts. A row is checked for blank cells before any of
+    its labels is resolved; then each cell is resolved with its own ``lookup``
+    call, and nothing is cached. An unknown label names its factor, expert and
     facet; the first bad cell of a row is the one reported.
     """
     if not matrix.factors or not matrix.experts:
@@ -73,7 +75,8 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
         means = {}
         for facet, grid in ((IMPORTANCE, matrix.importance), (PERFORMANCE, matrix.performance)):
             row = grid[i]
-            if len(row) != m or any(not cell or not cell.strip() for cell in row):
+            # whole-row scans in C: a falsy cell (empty or None), then a blank one
+            if len(row) != m or not all(row) or not all(map(str.strip, row)):
                 raise EmptyMatrixError(
                     f"factor {factor.id}: {facet} row is not dense ({len(row)} cells for {m} experts)"
                 )
@@ -154,7 +157,7 @@ def data_rows(path: Path):
         with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             for row in reader:
-                row = [cell.strip() for cell in row]
+                row = list(map(str.strip, row))
                 if any(row) and not row[0].startswith("#"):
                     yield lineno, row
                 lineno = reader.line_num + 1

@@ -372,6 +372,36 @@ class TestEndpointRule:
             op(raw, CRISP_ONE)
         assert [w.filename for w in record] == [__file__]
 
+    def test_ordering_warning_through_an_operator_names_the_callers_file(self):
+        raw = it2((0.5, 0.4, 0.4, 0.4, 1, 1), (0.5, 0.4, 0.4, 0.4, 0.9, 0.9))
+        with pytest.warns(OrderingViolatedWarning) as record:
+            raw - IT2TrapFN.crisp(0)
+            raw / IT2TrapFN.crisp(1)
+        assert [w.filename for w in record] == [__file__, __file__]
+
+
+def same_bits(x: float, y: float) -> bool:
+    """Equal as IEEE values: any NaN matches any NaN, and 0.0 differs from -0.0."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+# Any endpoints, NaN and infinities too, in any order; heights valid.
+_ANY_ENDS = st.floats()
+_HEIGHTS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_ANY_TRAP = st.builds(Trapezoid, _ANY_ENDS, _ANY_ENDS, _ANY_ENDS, _ANY_ENDS, _HEIGHTS, _HEIGHTS)
+
+
+class TestMeanBits:
+    @given(st.lists(raw_it2(-1e6, 1e6) | st.builds(IT2TrapFN, _ANY_TRAP, _ANY_TRAP),
+                    min_size=1, max_size=60))
+    def test_equals_sequential_mean_field_by_field(self, values):
+        expected = sequential_mean(values)
+        result = mean(values)
+        for got, want in zip(result.upper + result.lower, expected.upper + expected.lower):
+            assert same_bits(got, want), (got, want)
+
 
 SLACK = 1e-12
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from it2ipa import (
     LinguisticScale,
@@ -54,6 +56,27 @@ def test_lookup_rejects_partial_match(scale):
 def test_lookup_round_trips_every_label(scale):
     for label, value in scale.terms:
         assert lookup(scale, label) == value
+
+
+# Labels whose keys collide: the first term with a key wins, whatever spelling is looked up.
+_COLLIDING = tuple((label, it2((k / 10,) * 4 + (1, 1), (k / 10,) * 4 + (1, 1)))
+                   for k, label in enumerate(("Low", "LOW", "  high", "High", "ß", "SS", "ss ")))
+_SPELLINGS = (str, str.lower, str.upper, str.title, str.casefold,
+              lambda s: f" {s}", lambda s: f"{s}\t ", lambda s: s.strip())
+
+
+@given(st.sampled_from([label for label, _ in _COLLIDING]) | st.text(max_size=6),
+       st.sampled_from(_SPELLINGS))
+def test_lookup_returns_the_first_term_with_the_same_key(text, spell):
+    scale = LinguisticScale(_COLLIDING)
+    text = spell(text)
+    key = text.strip().casefold()
+    matches = [value for label, value in _COLLIDING if label.strip().casefold() == key]
+    if matches:
+        assert lookup(scale, text) is matches[0]
+    else:
+        with pytest.raises(UnknownTermError):
+            lookup(scale, text)
 
 
 def test_validate_default_scale_clean(scale):

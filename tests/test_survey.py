@@ -116,6 +116,36 @@ class TestAggregate:
         with pytest.raises(EmptyMatrixError, match="dense"):
             aggregate(matrix, scale)
 
+    @pytest.mark.parametrize("blank", ["", "  ", None])
+    def test_blank_cell_wins_over_an_earlier_unknown_label(self, scale, blank):
+        # the whole row is checked for blanks before any label in it is resolved
+        matrix = matrix_of({"f": (["Zzz", "Low", blank], ["Low"] * 3)})
+        with pytest.raises(EmptyMatrixError, match="importance row is not dense"):
+            aggregate(matrix, scale)
+
+    @pytest.mark.parametrize("unknown", [["Zzz", "Aaa"], ["Zzz", "Zzz"]])
+    def test_unknown_labels_name_the_first_in_expert_order(self, scale, unknown):
+        matrix = matrix_of({"f": (["Low", *unknown], ["Low"] * 3)})
+        with pytest.raises(UnknownTermError, match="expert E2, importance") as excinfo:
+            aggregate(matrix, scale)
+        assert excinfo.value.label == "Zzz"
+
+    def test_labels_resolve_through_the_survey_modules_lookup(self, scale, terms, monkeypatch):
+        # lookup is the one definition of how a label matches; aggregate resolves
+        # every label through the name it imports, which tracing wraps
+        seen = set()
+
+        def high(scale_arg, label):
+            assert scale_arg is scale
+            seen.add(label)
+            return terms["High"]
+
+        monkeypatch.setattr(it2ipa.survey, "lookup", high)
+        rows = {"f1": (["Low", "low"], ["Medium"] * 2), "f2": (["Very Low"] * 2, ["Low", "Low"])}
+        profiles = aggregate(matrix_of(rows, experts=("a", "b")), scale)
+        assert seen == {"Low", "low", "Medium", "Very Low"}
+        assert all(p.w_fuzzy == p.r_fuzzy == terms["High"] for p in profiles)
+
 
 class TestCvr:
     def test_unanimous_panel(self):
