@@ -17,7 +17,7 @@ import re
 import sys
 import warnings
 from collections import namedtuple
-from functools import cache, reduce
+from functools import cache, partial, reduce
 
 
 class NegativeSupportError(ValueError):
@@ -166,6 +166,9 @@ def it2(upper: tuple, lower: tuple) -> IT2TrapFN:
 
 
 _ONE = IT2TrapFN.crisp(1.0)
+# A float sum added left to right, in C. Builtin ``sum`` is never used: from Python 3.12
+# it compensates rounding, so a last ulp, and with it the outputs, would vary by version.
+ordered_sum = partial(reduce, operator.add)
 
 
 def _pairwise(a: IT2TrapFN, b: IT2TrapFN, op, cross: bool = False) -> IT2TrapFN:
@@ -250,13 +253,10 @@ def scalar_div(a: IT2TrapFN, m: int) -> IT2TrapFN:
 def mean(values) -> IT2TrapFN:
     """The mean operator: endpoint sums over ``values`` divided by their count.
 
-    ``values`` is a non-empty sequence. ``zip`` transposes it, in C, into the
-    upper and the lower trapezoids and each of those into its columns. Each
-    endpoint column is summed left to right, seeded with the first value, and
-    heights are the minimum over ``values``, so the result equals
-    ``scalar_div(reduce(add, values), len(values))`` bit for bit while
-    building no partial sums. (Builtin ``sum`` is not used: from Python 3.12
-    it compensates rounding and so can differ in the last ulp.)
+    ``values`` is a non-empty sequence. ``zip`` transposes it, in C, into the upper and the
+    lower trapezoids and each of those into its columns. Each endpoint column is summed by
+    ``ordered_sum`` and heights are the minimum over ``values``, so the result equals
+    ``scalar_div(reduce(add, values), len(values))`` bit for bit, with no partial sums.
     """
     m = len(values)
     if m < 1:
@@ -264,7 +264,7 @@ def mean(values) -> IT2TrapFN:
 
     def trap(traps) -> Trapezoid:
         *ends, h1, h2 = zip(*traps)
-        return Trapezoid(*(reduce(operator.add, column) / m for column in ends), min(h1), min(h2))
+        return Trapezoid(*(ordered_sum(column) / m for column in ends), min(h1), min(h2))
 
     uppers, lowers = zip(*values)
     return IT2TrapFN(trap(uppers), trap(lowers))

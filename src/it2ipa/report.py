@@ -198,7 +198,7 @@ def _summarize_psychometrics(data: Psychometrics, source: str) -> dict:
             dimensions.append({
                 "dimension": name,
                 "respondents": len(grid),
-                "items": len(grid[0]) if grid else 0,
+                "items": len(grid[0]),
                 "alpha": alpha,
                 "passes": alpha >= data.alpha_threshold,
             })

@@ -126,7 +126,7 @@ def load_scale(path: str | Path) -> LinguisticScale:
     """Load a scale definition (JSON with an ordered ``terms`` list).
 
     Each term carries a ``label`` and a ``value`` in the canonical textual
-    form. The loaded scale must pass ``validate_scale``.
+    form, both JSON strings. The loaded scale must pass ``validate_scale``.
     """
     path = Path(path)
     doc = read_json(path)
@@ -136,13 +136,13 @@ def load_scale(path: str | Path) -> LinguisticScale:
 
     terms = []
     for i, entry in enumerate(terms_doc, start=1):
-        if not isinstance(entry, dict) or "label" not in entry or "value" not in entry:
-            raise InputFileError(str(path), f"term #{i} must have 'label' and 'value'")
+        if not isinstance(entry, dict) or {type(entry.get("label")), type(entry.get("value"))} != {str}:
+            raise InputFileError(str(path), f"term #{i} must have a string 'label' and 'value'")
         try:
-            value = IT2TrapFN.from_text(str(entry["value"]))
+            value = IT2TrapFN.from_text(entry["value"])
         except ValueError as exc:
             raise InputFileError(str(path), f"term #{i} ({entry['label']!r}): {exc}") from exc
-        terms.append((str(entry["label"]), value))
+        terms.append((entry["label"], value))
 
     scale = LinguisticScale(tuple(terms))
     problems = validate_scale(scale)

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
-from functools import reduce
 
 from . import numbers
-from .numbers import IT2TrapFN, Trapezoid
+from .numbers import IT2TrapFN, Trapezoid, ordered_sum
 from .survey import Factor, factor_sort_key
 
 SUCCESS = "success"
@@ -93,9 +91,9 @@ def _pair_deviation(x: float, y: float) -> float:
 
 
 def _quad_deviation(endpoints: tuple[float, float, float, float]) -> float:
-    mean = sum(endpoints) / 4.0
+    mean = ordered_sum(endpoints) / 4.0
     try:
-        return math.sqrt(sum((v - mean) ** 2 for v in endpoints) / 4.0)
+        return math.sqrt(ordered_sum((v - mean) ** 2 for v in endpoints) / 4.0)
     except OverflowError:  # float ** raises where float * gives inf
         return math.inf
 
@@ -121,9 +119,7 @@ def rank_value(a: IT2TrapFN) -> RankBreakdown:
     (means_u, deviations_u), (means_l, deviations_l) = terms(a.upper), terms(a.lower)
     means, deviations = means_u + means_l, deviations_u + deviations_l
     heights = a.upper.heights + a.lower.heights
-    # reduce, not builtin sum: from Python 3.12 sum compensates rounding
-    total = (reduce(operator.add, means) - 0.25 * reduce(operator.add, deviations)
-             + reduce(operator.add, heights))
+    total = ordered_sum(means) - 0.25 * ordered_sum(deviations) + ordered_sum(heights)
     return RankBreakdown(*means, *deviations, *heights, total)
 
 

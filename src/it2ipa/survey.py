@@ -7,7 +7,7 @@ import itertools
 import math
 import re
 from collections import namedtuple
-from contextlib import closing
+from contextlib import closing, suppress
 from pathlib import Path
 
 from . import numbers
@@ -314,25 +314,32 @@ def _section(path: Path, doc: dict, name: str) -> dict:
     return section
 
 
+def _check_numbers(rows: list, what: str) -> None:
+    """Refuse unless each value in the lists ``rows`` is an exact int or float in the float range."""
+    # two whole passes in C; exact types, so no bool and no str
+    if not {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        raise TypeError(f"{what} is not a JSON number")
+    with suppress(OverflowError):  # an integer past the float range is not finite
+        if all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+            return
+    raise ValueError(f"{what} is not finite")
+
+
 def _count(value) -> int:
     """A JSON whole number; ``int()`` alone would truncate 9.7 and take ``true`` as 1."""
-    if type(value) not in (int, float) or not float(value).is_integer():
+    _check_numbers([[value]], repr(value))
+    if not float(value).is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
 
 def _threshold(path: Path, section: dict, name: str, default: float) -> float:
-    if "threshold" not in section:
-        return default
+    threshold = section.get("threshold", default)
     try:
-        if isinstance(section["threshold"], bool):
-            raise TypeError("a boolean is not a number")
-        threshold = float(section["threshold"])
-        if not math.isfinite(threshold):
-            raise ValueError(f"{threshold} is not finite")
+        _check_numbers([[threshold]], repr(threshold))
     except (TypeError, ValueError) as exc:
         raise InputFileError(str(path), f"{name} threshold must be a finite number: {exc}") from exc
-    return threshold
+    return float(threshold)
 
 
 def _check_name(path: Path, kind: str, name: str) -> None:
@@ -363,7 +370,7 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
             essential_counts = {
                 str(k): _count(v) for k, v in dict(content["essential_counts"]).items()
             }
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(
                 str(path), f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
             ) from exc
@@ -383,11 +390,8 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
             try:
                 if type(grid) is not list or not {list}.issuperset(map(type, grid)):
                     raise TypeError("the grid and each row must be JSON arrays")
-                if not {int, float}.issuperset(map(type, itertools.chain.from_iterable(grid))):
-                    raise TypeError("a score is not a JSON number")
-                if not all(map(math.isfinite, itertools.chain.from_iterable(grid))):
-                    raise ValueError("a score is not finite")
-            except (TypeError, ValueError, OverflowError) as exc:
+                _check_numbers(grid, "a score")
+            except (TypeError, ValueError) as exc:
                 raise InputFileError(
                     str(path), f"dimension {dim!r}: reliability grid must be finite numbers: {exc}"
                 ) from exc

@@ -30,6 +30,10 @@ HEIGHTS = [1, 1.0, 0.9, 0.5, 1e-300]
 # Bytes spliced into a file: not UTF-8, NUL, separators, a quoted line break.
 SPLICES = [b"\xff", b"\xe9", b"\x00", "\u2028".encode(), b"\x1c", b'"a\nb"', b"\r\n", b","]
 SCORES = [1, 2, 5, 0, -1, 2.5, 1e10, -1e10, 1e-161, 1e308, True, "3", None]
+# A section's threshold: one past the float range, ones that are not JSON numbers, two floats, none.
+THRESHOLDS = [{"threshold": t} for t in (10**400, "0.7", True, None, float("inf"), 0.5)] + [{}]
+# Scale term labels and values that are not JSON strings.
+NOT_STRINGS = [None, 7, 0.5, True, ["x"], {"x": 1}]
 
 
 @st.composite
@@ -88,6 +92,9 @@ def scale_file(draw) -> str:
     terms = [{"label": label, "value": value.to_text()} for label, value in default_scale().terms]
     for _ in range(draw(st.integers(0, 2))):
         terms[draw(st.integers(0, len(terms) - 1))]["value"] = draw(fuzzy_text())
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(["label", "value"]))
+        terms[draw(st.integers(0, len(terms) - 1))][key] = draw(st.sampled_from(NOT_STRINGS))
     return json.dumps({"terms": terms})
 
 
@@ -104,6 +111,8 @@ def psychometrics_file(draw) -> str:
         rows, items = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         grid = [[draw(st.sampled_from(SCORES)) for _ in range(items)] for _ in range(rows)]
         doc["reliability"] = {"dimensions": {draw(st.text(alphabet=NAME_CHARS, max_size=3)): grid}}
+    for section in doc.values():
+        section.update(draw(st.sampled_from(THRESHOLDS)))
     # the file text is encoded to bytes, so the surrogate goes in as its JSON escape
     return json.dumps(doc, ensure_ascii=False).replace("\ud800", "\\ud800")
 

@@ -574,6 +574,13 @@ class TestCli:
         {"reliability": {"dimensions": {"Culture": [[True, 2, 3], [2, "4", 3], [3, 3, " 5 "],
                                                     [4, 5, "1_0"]]}}},
         {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 10**400]]}}},
+        {"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 3}, "threshold": 10**400}},
+        {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": 10**400}},
+        {"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 3}, "threshold": "0.7"}},
+        {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": "0.7"}},
+        {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": True}},
+        {"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 3}, "threshold": None}},
+        {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": None}},
     ])
     def test_malformed_psychometrics_diagnostic_names_the_file(self, tmp_path, capsys, doc):
         path = tmp_path / "psy.json"
@@ -582,6 +589,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert json.loads(err.removeprefix("error: "))["file"] == str(path)
+
+    @pytest.mark.parametrize("label,value", [
+        (None, "((0,0,0,0.1;1,1),(0,0,0,0.05;0.9,0.9))"),
+        (7, "((0,0,0,0.1;1,1),(0,0,0,0.05;0.9,0.9))"),
+        (["x"], "((0,0,0,0.1;1,1),(0,0,0,0.05;0.9,0.9))"),
+        ("Nil", ["((0,0,0,0.1;1,1),(0,0,0,0.05;0.9,0.9))"]),
+    ], ids=["null-label", "number-label", "array-label", "array-value"])
+    def test_scale_term_that_is_not_a_string_is_located(self, tmp_path, capsys, label, value):
+        # the other terms are labelled as str() spells the bad labels, and the ratings use them all
+        terms = [{"label": label, "value": value},
+                 {"label": "7", "value": "((0.3,0.5,0.5,0.7;1,1),(0.4,0.5,0.5,0.6;0.9,0.9))"},
+                 {"label": "['x']", "value": "((0.9,1,1,1;1,1),(0.95,1,1,1;0.9,0.9))"}]
+        scale, ratings = tmp_path / "scale.json", tmp_path / "ratings.csv"
+        scale.write_text(json.dumps({"terms": terms}))
+        ratings.write_text('factor_id,facet,E1,E2,E3\nf1,importance,None,7,"[\'x\']"\n'
+                           'f1,performance,7,7,None\n')
+        assert main(["--ratings", str(ratings), "--scale", str(scale)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        diagnostic = json.loads(err.removeprefix("error: "))
+        assert diagnostic["file"] == str(scale) and diagnostic["cause"].startswith("term #1 ")
 
     @pytest.mark.parametrize("text,name", [
         ('{"reliability": {"dimensions": {"\\ud800": [[1, 2], [2, 4], [3, 3]]}}}', "\ud800"),

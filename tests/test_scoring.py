@@ -21,6 +21,7 @@ from it2ipa import (
     rank_value,
     success_score,
 )
+from it2ipa import numbers, scoring
 from it2ipa.numbers import Trapezoid
 from it2ipa.scoring import NonFiniteScoreError, RankBreakdown, _pair_deviation, _quad_deviation
 from helpers import assert_it2_close, it2_values, random_it2
@@ -179,6 +180,20 @@ class TestRankValue:
             deviations = b.s1u + b.s2u + b.s3u + b.s4u + b.s1l + b.s2l + b.s3l + b.s4l
             heights = b.h1u + b.h2u + b.h1l + b.h2l
             assert b.rank == means - 0.25 * deviations + heights
+
+    def test_no_field_depends_on_how_builtin_sum_rounds(self, bundled_profiles, monkeypatch):
+        # from Python 3.12 builtin sum compensates rounding, as a sum from math.fsum does
+        def breakdowns():
+            return [rank_value(score.value)._asdict()
+                    for p in bundled_profiles.values()
+                    for score in (success_score(p.factor, p.w_fuzzy, p.r_fuzzy),
+                                  failure_score(p.factor, p.w_fuzzy, p.r_fuzzy, mode="as_computed"),
+                                  failure_score(p.factor, p.w_fuzzy, p.r_fuzzy, mode="as_written"))]
+
+        before = breakdowns()
+        for module in (scoring, numbers):
+            monkeypatch.setattr(module, "sum", lambda xs, start=0: math.fsum(xs) + start, raising=False)
+        assert breakdowns() == before
 
     def test_accepts_raw_tuples(self):
         raw = it2((0.5, 0.4, 0.4, 0.4, 1, 1), (0.5, 0.4, 0.4, 0.4, 0.9, 0.9))
