@@ -5,7 +5,7 @@ by stage, how closely each reference table is reproduced."""
 import argparse
 
 from it2ipa import fixtures, render_text, scoring
-from it2ipa.report import REPORT_FORMATS, PipelineConfig, emit, reference_comparison, run_pipeline
+from it2ipa.report import REPORT_FORMATS, PipelineConfig, emit, run_pipeline
 from it2ipa.survey import factor_sort_key
 
 
@@ -16,7 +16,7 @@ def main() -> int:
     args = parser.parse_args()
 
     report = run_pipeline(PipelineConfig(cffs_mode=args.cffs_mode))
-    comparison = reference_comparison(report)
+    comparison = report.comparison
     by_id = {p.factor.id: p for p in report.profiles}
 
     print("== Crisp importance/performance vs reference ==")
@@ -37,16 +37,15 @@ def main() -> int:
     print()
 
     print("== Rankings (computed rank values; reference values are not derivable) ==")
-    for kind, ranking in ((scoring.FAILURE, report.failure_ranking),
-                          (scoring.SUCCESS, report.success_ranking)):
+    for kind in (scoring.FAILURE, scoring.SUCCESS):
         print(f"  {kind}: computed order {comparison[kind]['order']} | "
               f"reference order {comparison[kind]['reference_order']}")
-        for i, rf in enumerate(ranking, start=1):
+        for i, rf in enumerate(report.rankings[kind], start=1):
             print(f"    {i}. {rf.factor.id:5s} rank {rf.rank:.3f}")
     print()
 
     print("== Map ==")
-    print(render_text(report.map))
+    print(render_text(report.profiles, report.config.thresholds))
 
     print("== Notes ==")
     for i, note in enumerate(report.notes, start=1):

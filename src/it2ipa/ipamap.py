@@ -55,19 +55,18 @@ def _zone(gap: float) -> str:
     return WEAKNESS if gap > 0 else (BALANCED if gap == 0 else STRENGTH)
 
 
-def _zone_of(importance_band: str, performance_band: str) -> str:
-    return _zone(BANDS.index(importance_band) - BANDS.index(performance_band))
+# The nine cells, high importance first and low performance first within a row.
+# Cells above the main diagonal (importance band exceeding performance band)
+# are weaknesses, the diagonal is balanced, below is strength.
+REGIONS = tuple(
+    MapRegion(BANDS[i], BANDS[p], _zone(i - p)) for i in reversed(range(3)) for p in range(3)
+)
 
 
 def place(e_w: float, e_r: float, thresholds: MapThresholds) -> MapRegion:
-    """Locate a factor cell from its crisp importance and performance.
-
-    Cells above the main diagonal (importance band exceeding performance
-    band) are weaknesses, the diagonal is balanced, below is strength.
-    """
-    importance_band = band(e_w, thresholds)
-    performance_band = band(e_r, thresholds)
-    return MapRegion(importance_band, performance_band, _zone_of(importance_band, performance_band))
+    """The member of ``REGIONS`` that a crisp importance and performance fall in."""
+    row = 2 - BANDS.index(band(e_w, thresholds))
+    return REGIONS[3 * row + BANDS.index(band(e_r, thresholds))]
 
 
 def partition(
@@ -91,8 +90,7 @@ def partition(
 
 def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
     """The map as data: cut points, then the nine cells (high importance first) with factors."""
-    cells = [MapRegion(i, p, _zone_of(i, p)) for i in reversed(BANDS) for p in BANDS]
-    regions = {cell: {**cell._asdict(), "factors": []} for cell in cells}
+    regions = {cell: {**cell._asdict(), "factors": []} for cell in REGIONS}
     for profile in profiles:
         regions[profile.region]["factors"].append(
             {"id": profile.factor.id, "importance": profile.e_w, "performance": profile.e_r}
@@ -100,13 +98,13 @@ def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
     return {"thresholds": [thresholds.t1, thresholds.t2], "regions": list(regions.values())}
 
 
-def render_text(doc: dict) -> str:
-    """The map document of ``build_map`` as a fixed-width text grid."""
-    content = {
-        (r["importance_band"], r["performance_band"]): " ".join(f["id"] for f in r["factors"])
-        for r in doc["regions"]
-    }
-    t1, t2 = doc["thresholds"]
+def render_text(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
+    """The map as a fixed-width text grid, each cell's factor ids in input order."""
+    ids = {cell: [] for cell in REGIONS}
+    for profile in profiles:
+        ids[profile.region].append(profile.factor.id)
+    content = {cell[:2]: " ".join(cell_ids) for cell, cell_ids in ids.items()}  # by the two bands
+    t1, t2 = thresholds
     row_label = "importance"
     widths = {
         p: max([len(p)] + [len(content[(i, p)]) for i in BANDS]) for p in BANDS

@@ -67,12 +67,68 @@ class PipelineConfig(namedtuple("PipelineConfig", "scale_path thresholds partiti
 
 
 class Report(namedtuple("Report", (
-    "config scale_source input_source used_bundled_input profiles failure_candidates"
-    " success_candidates balanced success_ranking failure_ranking psychometrics map notes"
-), defaults=((),))):
-    """All pipeline results, ``profiles`` in factor-id order. ``sections`` mirrors the JSON."""
+    "config scale_source input_source used_bundled_input profiles candidates balanced rankings"
+    " psychometrics comparison"
+))):
+    """All pipeline results, ``profiles`` in factor-id order. ``sections`` mirrors the JSON.
+
+    ``candidates`` and ``rankings`` map each kind, success first, to its factors. ``comparison``
+    is the reference comparison of a run on the bundled dataset, else ``None``.
+    """
 
     __slots__ = ()
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The sentences on the failure-score rule, the rank values and the reference comparison."""
+        notes = []
+        if self.config.cffs_mode == scoring.AS_COMPUTED:
+            notes.append(
+                "Failure scores use the as_computed rule (performance / importance), "
+                "the rule the bundled reference failure tuples follow."
+            )
+        else:
+            notes.append(
+                "Failure scores use the as_written rule (importance x (1 - performance)). "
+                "The bundled reference failure tuples instead match performance / importance, "
+                "so values here differ from that reference."
+            )
+        notes.append(
+            "Rank values are freshly computed with the Chen-Lee formula. The bundled "
+            "reference rank values are not reproducible from that formula applied to the "
+            "reference score tuples and serve for order comparison only."
+        )
+        if self.comparison is None:
+            return tuple(notes)
+
+        success, failure = self.comparison[scoring.SUCCESS], self.comparison[scoring.FAILURE]
+        notes.append(
+            f"Success score tuples vs reference ({len(success['reference_candidates'])} factors): "
+            f"max endpoint deviation {success['deviation']:.4f}."
+        )
+        agreement = "within" if failure["deviation"] <= 0.005 else "OUTSIDE"
+        notes.append(
+            f"Failure score tuples ({self.config.cffs_mode}) vs reference "
+            f"({len(failure['reference_candidates'])} factors): "
+            f"max endpoint deviation {failure['deviation']:.4f} ({agreement} the 0.005 "
+            f"reproduction tolerance)."
+        )
+        if any(c["candidates"] != c["reference_candidates"] for c in (success, failure)):
+            notes.append(
+                f"The reference success/failure membership lists are not derivable from the "
+                f"{self.config.partition_mode} partition rule on the defuzzified values: "
+                f"computed failure candidates {failure['candidates']} vs "
+                f"reference {failure['reference_candidates']}; computed success candidates "
+                f"{success['candidates']} vs reference {success['reference_candidates']}. "
+                f"Factors absent from both reference lists: {self.comparison['unlisted']}."
+            )
+        for kind, c in ((scoring.SUCCESS, success), (scoring.FAILURE, failure)):
+            if c["order"] and c["order"] != c["reference_order"]:
+                notes.append(
+                    f"Computed {kind} ranking order {c['order']} differs from the "
+                    f"reference order {c['reference_order']}."
+                )
+        return tuple(notes)
 
     def sections(self):
         """Each top-level ``(key, value)`` of the structured report, in schema order.
@@ -117,18 +173,18 @@ class Report(namedtuple("Report", (
         )
         yield "partition", {
             "mode": self.config.partition_mode,
-            "failure_candidates": [p.factor.id for p in self.failure_candidates],
-            "success_candidates": [p.factor.id for p in self.success_candidates],
+            "failure_candidates": [p.factor.id for p in self.candidates[scoring.FAILURE]],
+            "success_candidates": [p.factor.id for p in self.candidates[scoring.SUCCESS]],
             "balanced": [p.factor.id for p in self.balanced],
         }
-        rankings = {scoring.SUCCESS: self.success_ranking, scoring.FAILURE: self.failure_ranking}
+        rankings = self.rankings
         # each score's text, formatted once for both tables and freed after them
         values = {kind: [rf.score.value.to_text() for rf in ranking] for kind, ranking in rankings.items()}
         yield "scores", {kind: _score_rows(ranking, values[kind]) for kind, ranking in rankings.items()}
         yield "rankings", {kind: _ranking_rows(ranking, values[kind])
                            for kind, ranking in rankings.items()}
         del values
-        yield "map", self.map
+        yield "map", ipamap.build_map(self.profiles, self.config.thresholds)
         yield "psychometrics", self.psychometrics if self.psychometrics else {"provided": False}
         yield "notes", list(self.notes)
 
@@ -217,89 +273,38 @@ def _endpoint_deviation(computed, reference) -> float:
     return max(abs(c - r) for c, r in pairs)
 
 
-def reference_comparison(report: Report) -> dict:
-    """How far a report on the bundled dataset is from its reference tables.
+def _score_functions(cffs_mode: str) -> dict:
+    """Each kind's score function, success first, as ``scoring`` holds them at the call."""
+    return {scoring.SUCCESS: scoring.success_score,
+            scoring.FAILURE: functools.partial(scoring.failure_score, mode=cffs_mode)}
+
+
+def _reference_comparison(profiles, candidates, rankings, cffs_mode: str) -> dict:
+    """How far a run on the bundled dataset is from its reference tables.
 
     Per kind (``success``, ``failure``): the largest endpoint deviation of the
     score tuples, and the computed candidates and ranking order beside the
     reference ones. ``unlisted`` names the factors in neither reference list.
     """
-    scores, rankings = fixtures.reference_scores(), fixtures.reference_rankings()
+    scores, orders = fixtures.reference_scores(), fixtures.reference_rankings()
     comparison = {}
-    for kind, candidates, ranking, score in (
-        (scoring.SUCCESS, report.success_candidates, report.success_ranking,
-         scoring.success_score),
-        (scoring.FAILURE, report.failure_candidates, report.failure_ranking,
-         functools.partial(scoring.failure_score, mode=report.config.cffs_mode)),
-    ):
+    for kind, score in _score_functions(cffs_mode).items():
         comparison[kind] = {
             "deviation": max(
                 _endpoint_deviation(
                     score(p.factor, p.w_fuzzy, p.r_fuzzy).value, scores[kind][p.factor.id]
                 )
-                for p in report.profiles if p.factor.id in scores[kind]
+                for p in profiles if p.factor.id in scores[kind]
             ),
-            "candidates": [p.factor.id for p in candidates],
+            "candidates": [p.factor.id for p in candidates[kind]],
             "reference_candidates": sorted(scores[kind], key=factor_sort_key),
-            "order": [rf.factor.id for rf in ranking],
-            "reference_order": [fid for fid, _ in rankings[kind]],
+            "order": [rf.factor.id for rf in rankings[kind]],
+            "reference_order": [fid for fid, _ in orders[kind]],
         }
     listed = scores[scoring.SUCCESS].keys() | scores[scoring.FAILURE].keys()
-    unlisted = {p.factor.id for p in report.profiles} - listed
+    unlisted = {p.factor.id for p in profiles} - listed
     comparison["unlisted"] = sorted(unlisted, key=factor_sort_key)
     return comparison
-
-
-def _build_notes(report: Report) -> tuple[str, ...]:
-    notes = []
-    if report.config.cffs_mode == scoring.AS_COMPUTED:
-        notes.append(
-            "Failure scores use the as_computed rule (performance / importance), "
-            "the rule the bundled reference failure tuples follow."
-        )
-    else:
-        notes.append(
-            "Failure scores use the as_written rule (importance x (1 - performance)). "
-            "The bundled reference failure tuples instead match performance / importance, "
-            "so values here differ from that reference."
-        )
-    notes.append(
-        "Rank values are freshly computed with the Chen-Lee formula. The bundled "
-        "reference rank values are not reproducible from that formula applied to the "
-        "reference score tuples and serve for order comparison only."
-    )
-    if not report.used_bundled_input:
-        return tuple(notes)
-
-    comparison = reference_comparison(report)
-    success, failure = comparison[scoring.SUCCESS], comparison[scoring.FAILURE]
-    notes.append(
-        f"Success score tuples vs reference ({len(success['reference_candidates'])} factors): "
-        f"max endpoint deviation {success['deviation']:.4f}."
-    )
-    agreement = "within" if failure["deviation"] <= 0.005 else "OUTSIDE"
-    notes.append(
-        f"Failure score tuples ({report.config.cffs_mode}) vs reference "
-        f"({len(failure['reference_candidates'])} factors): "
-        f"max endpoint deviation {failure['deviation']:.4f} ({agreement} the 0.005 "
-        f"reproduction tolerance)."
-    )
-    if any(c["candidates"] != c["reference_candidates"] for c in (success, failure)):
-        notes.append(
-            f"The reference success/failure membership lists are not derivable from the "
-            f"{report.config.partition_mode} partition rule on the defuzzified values: "
-            f"computed failure candidates {failure['candidates']} vs "
-            f"reference {failure['reference_candidates']}; computed success candidates "
-            f"{success['candidates']} vs reference {success['reference_candidates']}. "
-            f"Factors absent from both reference lists: {comparison['unlisted']}."
-        )
-    for kind, c in ((scoring.SUCCESS, success), (scoring.FAILURE, failure)):
-        if c["order"] and c["order"] != c["reference_order"]:
-            notes.append(
-                f"Computed {kind} ranking order {c['order']} differs from the "
-                f"reference order {c['reference_order']}."
-            )
-    return tuple(notes)
 
 
 def run_pipeline(
@@ -355,42 +360,37 @@ def run_pipeline(
         region = ipamap.place(e_w, e_r, config.thresholds)
         placed.append(PlacedFactor(*p, e_w, e_r, region))
 
-    failure_candidates, success_candidates, balanced = ipamap.partition(
-        placed, config.partition_mode
-    )
-    success_scores = [
-        scoring.success_score(p.factor, p.w_fuzzy, p.r_fuzzy) for p in success_candidates
-    ]
-    failure_scores = []
-    for p in failure_candidates:
+    failure, success, balanced = ipamap.partition(placed, config.partition_mode)
+    candidates = {scoring.SUCCESS: success, scoring.FAILURE: failure}
+    rankings = {}
+    for kind, score in _score_functions(config.cffs_mode).items():
+        scores = []
+        for p in candidates[kind]:
+            try:
+                scores.append(score(p.factor, p.w_fuzzy, p.r_fuzzy))
+            except DivisorSpansZeroError as exc:  # only a failure score divides
+                raise InputFileError(
+                    input_source, f"factor {p.factor.id}: {config.cffs_mode} failure score: {exc}"
+                ) from exc
         try:
-            failure_scores.append(
-                scoring.failure_score(p.factor, p.w_fuzzy, p.r_fuzzy, mode=config.cffs_mode)
-            )
-        except DivisorSpansZeroError as exc:
-            raise InputFileError(
-                input_source, f"factor {p.factor.id}: {config.cffs_mode} failure score: {exc}"
-            ) from exc
-    try:
-        failure_ranking = scoring.rank_order(failure_scores)
-    except scoring.NonFiniteScoreError as exc:  # importance support starting just above 0
-        raise InputFileError(input_source, str(exc)) from exc
+            rankings[kind] = scoring.rank_order(scores)
+        except scoring.NonFiniteScoreError as exc:  # importance support starting just above 0
+            raise InputFileError(input_source, str(exc)) from exc
 
-    report = Report(
+    comparison = (_reference_comparison(placed, candidates, rankings, config.cffs_mode)
+                  if used_bundled else None)
+    return Report(
         config=config,
         scale_source=scale_source,
         input_source=input_source,
         used_bundled_input=used_bundled,
         profiles=placed,
-        failure_candidates=failure_candidates,
-        success_candidates=success_candidates,
+        candidates=candidates,
         balanced=balanced,
-        success_ranking=scoring.rank_order(success_scores),
-        failure_ranking=failure_ranking,
+        rankings=rankings,
         psychometrics=psychometrics,
-        map=ipamap.build_map(placed, config.thresholds),
+        comparison=comparison,
     )
-    return report._replace(notes=_build_notes(report))
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +444,14 @@ def _delimited_files(report: Report):
           p.region.importance_band, p.region.performance_band, p.region.zone]
          for p in report.profiles),
     )
-    yield "map.txt", ipamap.render_text(report.map)
+    yield "map.txt", ipamap.render_text(report.profiles, report.config.thresholds)
     yield "notes.txt", "".join(f"{i}. {note}\n" for i, note in enumerate(report.notes, start=1))
-    for kind, candidates, ranking in (
-            (scoring.SUCCESS, report.success_candidates, report.success_ranking),
-            (scoring.FAILURE, report.failure_candidates, report.failure_ranking)):
+    for kind, ranking in report.rankings.items():
         ranked = {rf.factor.id: rf for rf in ranking}
         yield f"scores_{kind}.csv", _csv_text(
             ["factor_id", "kind", "mode", "value"],
             ([rf.factor.id, kind, rf.score.mode or "", rf.score.value.to_text(nd)]
-             for rf in (ranked[p.factor.id] for p in candidates)),  # candidates are in id order
+             for rf in (ranked[p.factor.id] for p in report.candidates[kind])),  # in id order
         )
         yield f"ranking_{kind}.csv", _csv_text(
             ["position", "factor_id", "rank", *scoring.RankBreakdown._fields[:-1]],

@@ -206,6 +206,8 @@ def _factor_table(path: Path, kind: str, columns: tuple[str, ...]):
                     str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
                 )
             fid = row[0]
+            if not fid:
+                raise InputFileError(str(path), "empty factor_id cell", row=lineno)
             name = row[name_at] if name_at else fid
             dimension = row[dimension_at] if dimension_at else "general"
             yield lineno, Factor(fid, name or fid, dimension or "general"), row[first_cell:]

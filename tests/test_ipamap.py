@@ -13,6 +13,7 @@ from it2ipa import (
     MapThresholds,
     OutOfRangeError,
     PlacedFactor,
+    ipamap,
     build_map,
     dtrat,
     partition,
@@ -88,6 +89,13 @@ class TestPlace:
         assert place(0.75, 0.0, cuts).importance_band == "high"
         assert place(0.0, 1.0, cuts).performance_band == "high"  # top band closed at 1
 
+    def test_every_cell_is_a_member_of_regions(self):
+        centers = (1 / 6, 1 / 2, 5 / 6)
+        cells = [place(e_w, e_r, THIRDS) for e_w in centers for e_r in centers]
+        for cell in cells:
+            assert any(cell is region for region in ipamap.REGIONS), cell
+        assert len({id(cell) for cell in cells}) == 9 == len(ipamap.REGIONS)
+
     @pytest.mark.parametrize("e_w,e_r", [(-0.01, 0.5), (0.5, 1.01), (2.0, 0.0)])
     def test_out_of_range(self, e_w, e_r):
         with pytest.raises(OutOfRangeError):
@@ -147,7 +155,7 @@ class TestPartition:
 
 # the map documents a report writes, from placed profiles
 RENDERERS = {
-    "text": lambda profiles: render_text(build_map(profiles, THIRDS)),
+    "text": lambda profiles: render_text(profiles, THIRDS),
     "structured": lambda profiles: json.dumps(build_map(profiles, THIRDS)),
     "svg": lambda profiles: render_svg(profiles, THIRDS),
 }

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -22,7 +23,7 @@ from it2ipa.cli import main
 from it2ipa.errors import InputFileError
 from it2ipa.report import (
     DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, emit, json_chunks,
-    reference_comparison, run_pipeline,
+    run_pipeline,
 )
 from helpers import random_it2
 
@@ -110,8 +111,12 @@ class TestRunPipeline:
         assert [p.factor.id for p in report.profiles] == ["f1", "f2"]
         assert not report.used_bundled_input
         # f1: importance (High+Medium)/2 > performance Low: a weakness in region mode
-        assert [p.factor.id for p in report.failure_candidates] == ["f1"]
-        assert [p.factor.id for p in report.success_candidates] == ["f2"]
+        assert [p.factor.id for p in report.candidates["failure"]] == ["f1"]
+        assert [p.factor.id for p in report.candidates["success"]] == ["f2"]
+        # no reference comparison, so only the two notes every run has
+        assert report.comparison is None
+        assert len(report.notes) == 2
+        assert report.notes == run_default().notes[:2]
 
     @pytest.mark.parametrize("field", ["partition_mode", "cffs_mode"])
     def test_unknown_mode_rejected_on_construction(self, field):
@@ -119,7 +124,7 @@ class TestRunPipeline:
             PipelineConfig(**{field: "majority"})
 
     def test_reference_comparison_numbers(self):
-        comparison = reference_comparison(run_default())
+        comparison = run_default().comparison
         assert comparison["success"]["deviation"] <= 5e-3
         assert comparison["failure"]["deviation"] <= 5e-3
         assert len(comparison["success"]["reference_candidates"]) == 8
@@ -741,6 +746,28 @@ class TestCli:
             "ranking_failure.csv", "ranking_success.csv", "report.json",
             "scores_failure.csv", "scores_success.csv",
         ]
+
+    @pytest.mark.parametrize("entry", ["cli", "script"])
+    def test_reference_comparison_is_computed_once(self, tmp_path, monkeypatch, entry):
+        calls = []
+        reference_scores = fixtures.reference_scores
+
+        def counted():
+            calls.append(1)
+            return reference_scores()
+
+        monkeypatch.setattr(it2ipa.report.fixtures, "reference_scores", counted)
+        if entry == "cli":
+            assert main(["--out", str(tmp_path),
+                         *(arg for fmt in REPORT_FORMATS for arg in ("--format", fmt))]) == 0
+        else:
+            script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+            monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path)])
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_path(str(script), run_name="__main__")
+            assert exited.value.code == 0
+        assert len(calls) == 1
+        assert len(list(tmp_path.iterdir())) == 10
 
     def test_cffs_mode_flag(self, capsys):
         assert main(["--cffs-mode", "as_written"]) == 0

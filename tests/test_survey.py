@@ -478,6 +478,12 @@ FACTOR_TABLE_DIAGNOSTICS = {
                              "empty ratings file: no data rows"),
     "aggregated-no-data-rows": (parse_aggregated, "factor_id,importance,performance\n\n", None,
                                 "empty aggregated file: no data rows"),
+    "ratings-empty-factor-id": (parse_ratings,
+                                "factor_id,facet,E1,E2\n,importance,Low,High\n,performance,Medium,Low\n",
+                                2, "empty factor_id cell"),
+    "aggregated-empty-factor-id": (
+        parse_aggregated, f'factor_id,importance,performance\n ,"{LOW}","{LOW}"\n,"{LOW}","{LOW}"\n',
+        2, "empty factor_id cell"),
 }
 
 
