@@ -88,21 +88,38 @@ def partition(
     return parts[WEAKNESS], parts[STRENGTH], parts[BALANCED]
 
 
+def _cell_of(cells: dict, profile: PlacedFactor):
+    """The entry of ``cells``, keyed by the ``REGIONS``, for the profile's region."""
+    try:
+        return cells[profile.region]
+    except KeyError:
+        raise ValueError(
+            f"factor {profile.factor.id}: region {profile.region!r} "
+            "is not one of the nine ipamap.REGIONS"
+        ) from None
+
+
 def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
-    """The map as data: cut points, then the nine cells (high importance first) with factors."""
+    """The map as data: cut points, then the nine cells (high importance first) with factors.
+
+    A region that is not one of ``REGIONS`` raises ``ValueError``.
+    """
     regions = {cell: {**cell._asdict(), "factors": []} for cell in REGIONS}
     for profile in profiles:
-        regions[profile.region]["factors"].append(
+        _cell_of(regions, profile)["factors"].append(
             {"id": profile.factor.id, "importance": profile.e_w, "performance": profile.e_r}
         )
     return {"thresholds": [thresholds.t1, thresholds.t2], "regions": list(regions.values())}
 
 
 def render_text(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
-    """The map as a fixed-width text grid, each cell's factor ids in input order."""
+    """The map as a fixed-width text grid, each cell's factor ids in input order.
+
+    A region that is not one of ``REGIONS`` raises ``ValueError``.
+    """
     ids = {cell: [] for cell in REGIONS}
     for profile in profiles:
-        ids[profile.region].append(profile.factor.id)
+        _cell_of(ids, profile).append(profile.factor.id)
     content = {cell[:2]: " ".join(cell_ids) for cell, cell_ids in ids.items()}  # by the two bands
     t1, t2 = thresholds
     row_label = "importance"

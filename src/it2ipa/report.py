@@ -155,10 +155,10 @@ class Report(namedtuple("Report", (
                 "factor": p.factor.id,
                 "name": p.factor.name,
                 "dimension": p.factor.dimension,
-                "importance": p.w_fuzzy.to_text(),
-                "performance": p.r_fuzzy.to_text(),
+                "importance": importance,
+                "performance": performance,
             }
-            for p in self.profiles
+            for p, importance, performance in _fuzzy_texts(self.profiles)
         )
         yield "defuzzified", (
             {
@@ -191,6 +191,36 @@ class Report(namedtuple("Report", (
     def to_structured(self) -> dict:
         """The structured report as plain dicts, lists and scalars."""
         return {key: _listed(value) for key, value in self.sections()}
+
+
+def _fuzzy_texts(profiles, decimals: int | None = None):
+    """Each profile, with its importance's and its performance's ``to_text(decimals)``.
+
+    The text of a value object that occurs more than once, as ``parse_aggregated``
+    shares one per distinct cell text, is formatted once. The memo is keyed by
+    identity, not by equality, because ``0.0`` and ``-0.0`` compare equal but
+    print differently. It holds only the repeated objects, and it is freed with
+    this iterator.
+    """
+    seen, repeated = set(), set()
+    for p in profiles:
+        for key in (id(p.w_fuzzy), id(p.r_fuzzy)):
+            (repeated if key in seen else seen).add(key)
+    del seen  # freed before any text is built
+    texts = dict.fromkeys(repeated)  # None until the object is first formatted
+    del repeated
+
+    def text(value) -> str:
+        key = id(value)
+        formatted = texts.get(key)
+        if formatted is None:
+            formatted = value.to_text(decimals)
+            if key in texts:
+                texts[key] = formatted
+        return formatted
+
+    for p in profiles:
+        yield p, text(p.w_fuzzy), text(p.r_fuzzy)
 
 
 def _score_rows(ranking, values):
@@ -432,9 +462,8 @@ def _delimited_files(report: Report):
     nd = DISPLAY_DECIMALS
     yield "aggregated.csv", _csv_text(
         ["factor_id", "name", "dimension", "importance", "performance"],
-        ([p.factor.id, p.factor.name, p.factor.dimension,
-          p.w_fuzzy.to_text(nd), p.r_fuzzy.to_text(nd)]
-         for p in report.profiles),
+        ([p.factor.id, p.factor.name, p.factor.dimension, importance, performance]
+         for p, importance, performance in _fuzzy_texts(report.profiles, nd)),
     )
     yield "defuzzified.csv", _csv_text(
         ["factor_id", "name", "dimension", "importance", "performance",

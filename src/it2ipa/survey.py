@@ -268,7 +268,9 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
 
     Layout: header ``factor_id[,name][,dimension],importance,performance`` with
     both fuzzy values in the canonical textual form. Values must be
-    structurally valid numbers with support inside [0, 1].
+    structurally valid numbers with support inside [0, 1]. Each distinct
+    (stripped) cell text is parsed and checked once per call, and its cells
+    share one ``IT2TrapFN``; a bad text is reported on the first row it is on.
     """
     path = Path(path)
     with closing(_factor_table(path, "aggregated", FACETS)) as table:
@@ -280,6 +282,7 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
 
         profiles = []
         seen: set[str] = set()
+        parsed: dict[str, IT2TrapFN] = {}  # one value per distinct text, only texts that passed
         for lineno, factor, cells in table:
             fid = factor.id
             if fid in seen:
@@ -287,15 +290,20 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
             seen.add(fid)
             values = []
             for facet, text in zip(FACETS, cells):
-                try:
-                    value = IT2TrapFN.from_text(text)
-                except ValueError as exc:
-                    raise InputFileError(str(path), f"factor {fid} {facet}: {exc}", row=lineno) from exc
-                problems = value_problems(value)
-                if problems:
-                    raise InputFileError(
-                        str(path), f"factor {fid} {facet}: {'; '.join(problems)}", row=lineno
-                    )
+                value = parsed.get(text)
+                if value is None:
+                    try:
+                        value = IT2TrapFN.from_text(text)
+                    except ValueError as exc:
+                        raise InputFileError(
+                            str(path), f"factor {fid} {facet}: {exc}", row=lineno
+                        ) from exc
+                    problems = value_problems(value)
+                    if problems:
+                        raise InputFileError(
+                            str(path), f"factor {fid} {facet}: {'; '.join(problems)}", row=lineno
+                        )
+                    parsed[text] = value
                 values.append(value)
             profiles.append(FactorProfile(factor, *values))
     return profiles

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from it2ipa import (
     Factor,
     IT2TrapFN,
+    MapRegion,
     MapThresholds,
     OutOfRangeError,
     PlacedFactor,
@@ -195,3 +196,10 @@ class TestRenderMap:
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "http://www.w3.org/2000/svg" in svg
         assert "href" not in svg  # no external assets
+
+    @pytest.mark.parametrize("render", [build_map, render_text], ids=["structured", "text"])
+    def test_a_region_outside_the_nine_cells_is_named(self, render):
+        region = MapRegion("high", "low", "strength")  # the high/low cell is a weakness
+        stray = crisp_profile("x_1", 0.9, 0.1)._replace(region=region)
+        with pytest.raises(ValueError, match=re.escape(f"factor x_1: region {region!r}")):
+            render([crisp_profile("x_2", 0.5, 0.5), stray], THIRDS)

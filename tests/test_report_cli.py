@@ -211,6 +211,17 @@ def report_2000(tmp_path_factory):
     return run_pipeline(PipelineConfig(), aggregated_path=path)
 
 
+@pytest.fixture(scope="module")
+def report_2000_shared(tmp_path_factory):
+    """A report on 2000 factors whose fuzzy values are drawn from 20 distinct texts."""
+    rng = random.Random(20)
+    texts = [random_it2(rng).to_text() for _ in range(20)]
+    rows = "".join(f'f{i},"{rng.choice(texts)}","{rng.choice(texts)}"\n' for i in range(2000))
+    path = tmp_path_factory.mktemp("agg") / "agg.csv"
+    path.write_text("factor_id,importance,performance\n" + rows)
+    return run_pipeline(PipelineConfig(), aggregated_path=path)
+
+
 def emit_peak(report, out_dir, formats) -> tuple[int, int]:
     """The traced memory peak of one ``emit`` above what it started with, and the bytes written."""
     tracemalloc.start()
@@ -319,6 +330,33 @@ class TestEmit:
         # every file built before the first was written came to 2.2x their bytes
         peak, size = emit_peak(report_2000, tmp_path, [DELIMITED])
         assert peak < 1.6 * size
+
+    @pytest.mark.parametrize("format,bound", [(STRUCTURED, 0.25), (DELIMITED, 1.6)])
+    def test_shared_values_keep_the_emit_bounds(self, report_2000_shared, tmp_path, format, bound):
+        # the same bounds as on 2000 distinct values: the texts of the
+        # shared values are kept once each, and only while their table is built
+        peak, size = emit_peak(report_2000_shared, tmp_path, [format])
+        assert peak < bound * size
+
+    def test_equal_values_keep_their_own_text(self, tmp_path):
+        zero = "((0.0,0.0,0.1,0.2;1.0,1.0),(0.0,0.05,0.1,0.15;0.9,0.9))"
+        negative = zero.replace("(0.0,", "(-0.0,")
+        path = tmp_path / "agg.csv"
+        path.write_text(
+            "factor_id,importance,performance\n"
+            f'f1,"{zero}","{negative}"\nf2,"{negative}","{zero}"\n'
+        )
+        report = run_pipeline(PipelineConfig(), aggregated_path=path)
+        assert report.profiles[0].w_fuzzy == report.profiles[0].r_fuzzy  # -0.0 == 0.0
+        emit(report, tmp_path / "out", [STRUCTURED, DELIMITED])
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["aggregated"]
+        assert [(r["importance"], r["performance"]) for r in rows] == [
+            (zero, negative), (negative, zero)
+        ]
+        rounded = '"((0,0,0.1,0.2;1,1),(0,0.05,0.1,0.15;0.9,0.9))"'
+        assert (tmp_path / "out" / "aggregated.csv").read_text().splitlines()[1:] == [
+            f"f1,f1,general,{rounded},{rounded}", f"f2,f2,general,{rounded},{rounded}"
+        ]
 
     def test_failed_structured_emit_leaves_no_file(self, tmp_path):
         report = run_default()._replace(psychometrics={"alpha": float("nan")})

@@ -559,6 +559,42 @@ class TestParseAggregated:
             parse_aggregated(path)
         assert (excinfo.value.file, excinfo.value.row) == (str(path), 3)
 
+    def test_equal_texts_share_one_value_within_a_call(self, tmp_path, terms):
+        low, high = terms["Low"].to_text(), terms["High"].to_text()
+        path = tmp_path / "agg.csv"
+        path.write_text(
+            "factor_id,importance,performance\n"
+            f'f1,"{low}","{high}"\n'
+            f'f2,"  {high} ","{low}"\n'  # the text is compared stripped
+            f'f3,"{low}","{low}"\n'
+        )
+        f1, f2, f3 = parse_aggregated(path)
+        assert f1.w_fuzzy is f2.r_fuzzy is f3.w_fuzzy is f3.r_fuzzy
+        assert f1.r_fuzzy is f2.w_fuzzy
+        assert f1.w_fuzzy == terms["Low"] and f1.r_fuzzy == terms["High"]
+
+    def test_nothing_is_shared_across_calls(self, tmp_path, terms):
+        low = terms["Low"].to_text()
+        path = tmp_path / "agg.csv"
+        path.write_text(f'factor_id,importance,performance\nf1,"{low}","{low}"\n')
+        (first,), (second,) = parse_aggregated(path), parse_aggregated(path)
+        assert first.w_fuzzy == second.w_fuzzy
+        assert first.w_fuzzy is not second.w_fuzzy
+
+    @pytest.mark.parametrize("bad,cause", [
+        ("broken", "not a canonical"),
+        ("((0,0.1,0.2,1.5;1,1),(0,0.1,0.2,0.3;0.9,0.9))", "support outside"),
+    ], ids=["unparsed", "out-of-range"])
+    def test_a_repeated_bad_text_names_its_first_row(self, tmp_path, terms, bad, cause):
+        low = terms["Low"].to_text()
+        rows = [f'f{i},"{bad if i in (2, 4) else low}","{low}"\n' for i in range(1, 6)]
+        path = tmp_path / "agg.csv"
+        path.write_text("factor_id,importance,performance\n" + "".join(rows))
+        with pytest.raises(InputFileError, match=cause) as excinfo:
+            parse_aggregated(path)
+        assert excinfo.value.row == 3  # f2's line; f4 is on line 5
+        assert excinfo.value.cause.startswith("factor f2 importance: ")
+
 
 class TestLoadPsychometrics:
     def test_full_document(self, tmp_path):
