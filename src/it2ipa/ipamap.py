@@ -99,17 +99,27 @@ def _cell_of(cells: dict, profile: PlacedFactor):
         ) from None
 
 
-def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
+def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds, *,
+              lazy: bool = False) -> dict:
     """The map as data: cut points, then the nine cells (high importance first) with factors.
 
-    A region that is not one of ``REGIONS`` raises ``ValueError``.
+    With ``lazy``, each cell's ``factors`` is an iterator that builds one entry
+    per step, so a writer that consumes each entry before it asks for the next
+    holds no cell's entries at once. A region that is not one of ``REGIONS``
+    raises ``ValueError``.
     """
-    regions = {cell: {**cell._asdict(), "factors": []} for cell in REGIONS}
+    cells = {cell: [] for cell in REGIONS}
     for profile in profiles:
-        _cell_of(regions, profile)["factors"].append(
-            {"id": profile.factor.id, "importance": profile.e_w, "performance": profile.e_r}
-        )
-    return {"thresholds": [thresholds.t1, thresholds.t2], "regions": list(regions.values())}
+        _cell_of(cells, profile).append(profile)
+    regions = []
+    for cell, members in cells.items():
+        factors = map(_map_entry, members)
+        regions.append({**cell._asdict(), "factors": factors if lazy else list(factors)})
+    return {"thresholds": [thresholds.t1, thresholds.t2], "regions": regions}
+
+
+def _map_entry(profile: PlacedFactor) -> dict:
+    return {"id": profile.factor.id, "importance": profile.e_w, "performance": profile.e_r}
 
 
 def render_text(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:

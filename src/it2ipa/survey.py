@@ -163,9 +163,10 @@ def data_rows(path: Path):
                 lineno = reader.line_num + 1
     except OSError as exc:
         raise InputFileError(str(path), f"cannot read file: {exc}") from exc
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
         read_text(path)  # decodes the whole file, so the error names the line of the bad byte
-        raise
+        # read_text found no bad byte: the file changed between the two reads
+        raise InputFileError(str(path), f"not UTF-8 text: {exc}") from exc
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise InputFileError(str(path), f"unreadable CSV record: {exc}", row=lineno) from exc
 

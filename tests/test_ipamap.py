@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given
@@ -190,6 +191,14 @@ class TestRenderMap:
         backwards = build_map(placed_profiles[::-1], THIRDS)
         for cell, reversed_cell in zip(structured["regions"], backwards["regions"]):
             assert reversed_cell["factors"] == cell["factors"][::-1]
+
+    def test_lazy_map_builds_the_same_entries_when_iterated(self, placed_profiles):
+        eager = build_map(placed_profiles, THIRDS)
+        lazy = build_map(placed_profiles, THIRDS, lazy=True)
+        assert all(isinstance(region["factors"], Iterator) for region in lazy["regions"])
+        assert [{**region, "factors": list(region["factors"])} for region in lazy["regions"]] == \
+            eager["regions"]
+        assert lazy["thresholds"] == eager["thresholds"]
 
     def test_svg_is_self_contained(self, placed_profiles):
         svg = render_svg(placed_profiles, THIRDS)

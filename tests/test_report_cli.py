@@ -390,6 +390,77 @@ JSON_DOCS = st.recursive(
 )
 
 
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# What one column of a table holds: most kinds are one exact type, which the
+# writer renders by column, and the rest make it render the batch row by row.
+COLUMNS = st.sampled_from([
+    JSON_SCALARS, FINITE, st.text(), st.integers(), st.booleans(),
+    st.one_of(st.booleans(), st.integers()), st.none(), st.one_of(st.none(), FINITE),
+    st.text().map(Label), st.integers().map(Count),
+    FINITE.map(Ratio), st.fixed_dictionaries({"x": FINITE, "y%s": st.text(max_size=3)}),
+    st.dictionaries(st.sampled_from(["x", "y", "%"]), JSON_SCALARS, max_size=2),
+    st.lists(JSON_SCALARS, max_size=2), st.just({}),
+])
+KEYS = st.lists(st.text(alphabet='%s"\\é☃\ud800a', max_size=3),
+                min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def tables(draw, columns=COLUMNS, max_rows=100):
+    """A list of 1 to ``max_rows`` dicts with the same keys in the same order."""
+    cells = draw(st.lists(columns, min_size=1, max_size=5))
+    keys = draw(KEYS.filter(lambda keys: len(keys) >= len(cells)))[:len(cells)]
+    count = draw(st.integers(1, max_rows))
+    rows = draw(st.lists(st.tuples(*cells), min_size=count, max_size=count))
+    return [dict(zip(keys, row)) for row in rows]
+
+
+# Where a table sits: an array of the document (iterator or list), an item of
+# an array, and the values of an object inside an array.
+PLACEMENTS = {
+    "array": lambda rows: ({"t": iter(rows)}, {"t": rows}),
+    "item": lambda rows: ({"t": [rows]}, {"t": [rows]}),
+    "values": lambda rows: ({"t": [dict(zip(map(str, range(len(rows))), rows))]},) * 2,
+}
+
+
+class TestTables:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tables(), st.sampled_from(list(PLACEMENTS)))
+    def test_equals_indented_dumps(self, rows, placement):
+        doc, plain = PLACEMENTS[placement](rows)
+        assert chunks_text(doc) == dumps(plain)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tables(), st.data())
+    def test_a_row_with_its_keys_reordered(self, rows, data):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = dict(reversed(rows[i].items()))
+        assert chunks_text({"t": rows}) == dumps({"t": rows})
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tables(st.just(FINITE)), st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+           st.data())
+    def test_one_non_finite_float_is_rejected(self, rows, bad, data):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i][data.draw(st.sampled_from(list(rows[i])))] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"Out of range float values are not JSON compliant: {bad!r}")):
+            chunks_text({"t": rows})
+
+
 class TestToJson:
     @settings(max_examples=300)
     @given(JSON_DOCS)
@@ -632,6 +703,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert json.loads(err.removeprefix("error: "))["file"] == str(path)
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 5}}}, "component x_1"),
+        ({"reliability": {"dimensions": {"Culture": [[1, 1], [1, 1]]}}}, "dimension 'Culture'"),
+    ], ids=["count-above-panel", "no-total-variance"])
+    def test_psychometrics_value_defect_names_the_file_and_the_entry(self, tmp_path, capsys,
+                                                                     doc, where):
+        path = tmp_path / "psy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--psychometrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        diagnostic = json.loads(err.removeprefix("error: "))
+        assert diagnostic["file"] == str(path) and diagnostic["cause"].startswith(where + ": ")
+
+    def test_thresholds_without_a_comma_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--thresholds", "0.2"])
+        assert excinfo.value.code == 2
+        assert "--thresholds: expected two comma-separated cut points" in capsys.readouterr().err
+
+    def test_out_below_a_regular_file_is_located(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert main(["--out", str(afile / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        diagnostic = json.loads(captured.err.removeprefix("error: "))
+        assert diagnostic["file"] == str(afile / "x" / "report.json")
+        assert diagnostic["cause"].startswith(f"cannot write {afile / 'x' / 'report.json'}: ")
+        assert afile.read_text() == "kept"
 
     @pytest.mark.parametrize("label,value", [
         (None, "((0,0,0,0.1;1,1),(0,0,0,0.05;0.9,0.9))"),

@@ -429,6 +429,18 @@ class TestStreamedRecords:
         assert excinfo.value.row == 3
         assert len(opened) == 1 and opened[0].closed
 
+    def test_a_bad_byte_gone_by_the_second_read_names_the_file(self, tmp_path, flag, monkeypatch):
+        # the whole-file decode that locates the byte reads a file that has since been mended
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"factor_id,\xff\n")
+        monkeypatch.setattr(it2ipa.survey, "read_text", lambda path: "factor_id\n")
+        parse = parse_ratings if flag == "--ratings" else parse_aggregated
+        with pytest.raises(InputFileError) as excinfo:
+            parse(path)
+        assert (excinfo.value.file, excinfo.value.row) == (str(path), None)
+        assert excinfo.value.cause.startswith("not UTF-8 text: ")
+        assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
+
 
 LOW = "((0,0.1,0.1,0.3;1,1),(0.05,0.1,0.1,0.2;0.9,0.9))"
 BAD_FACET = "facet must be one of ('importance', 'performance'), got {!r}"
