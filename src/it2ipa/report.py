@@ -9,7 +9,7 @@ import math
 import os
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -523,25 +523,19 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text,
 
 def _json_text(value, indent: str) -> str:
     """``value`` as ``json.dumps(..., indent=2)`` writes it at ``indent``; an iterator as a list."""
-    if write := _SCALAR_TEXT.get(type(value)):
-        return write(value)
-    inner = indent + "  "
+    return "".join(_chunks(value, indent))
+
+
+def _chunks(value, indent: str):
+    """The text of ``value`` at ``indent`` in pieces: a scalar in one, a container as it streams."""
     if isinstance(value, dict):
-        keys = [encode_basestring_ascii(k) + ": " for k in value]
-        items, brackets = list(map(str.__add__, keys, _texts(value.values(), inner))), "{}"
-    elif isinstance(value, (list, tuple, Iterator)):
-        items, brackets = list(_texts(value, inner)), "[]"
-    else:  # an instance of a subclass of a scalar type
-        for kind, write in _SCALAR_TEXT.items():
-            if isinstance(value, kind):
-                return write(value)
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    # Brackets join the end items, so that only the join copies the whole text.
-    items[0] = f"{brackets[0]}\n{inner}{items[0]}"
-    items[-1] = f"{items[-1]}\n{indent}{brackets[1]}"
-    return f",\n{inner}".join(items)
+        return _object_chunks(value.items(), indent)
+    if isinstance(value, (list, tuple, Iterator)):
+        return _array_chunks(value, indent)
+    for kind, write in _SCALAR_TEXT.items():
+        if isinstance(value, kind):
+            return (write(value),)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # Values are rendered in batches of this many. Each column of a batch is a
@@ -552,40 +546,27 @@ def _json_text(value, indent: str) -> str:
 _BATCH = 32
 
 
-def _texts(values, indent: str):
-    """Each of ``values`` as ``_json_text(value, indent)`` writes it, handed on one at a time."""
-    values = iter(values)
-    batches = iter(lambda: list(islice(values, _BATCH)), [])
-    return chain.from_iterable(map(_batch_texts, batches, repeat(indent)))
+def _column_texts(column, indent: str):
+    """The texts of ``column``'s values at ``indent`` as an iterator; ``None`` for another column.
 
-
-def _batch_texts(batch: list, indent: str):
-    """The texts of ``batch``: by column if it is a table, else one value at a time.
-
-    A table is a batch of exact dicts with the same keys in the same order,
-    each column of one exact scalar type or of dicts; its rows are written
-    through one ``%`` template.
+    One exact scalar type is written with one ``map``. Non-empty exact dicts with
+    the same keys in the same order, each of whose columns this function takes,
+    are written through one ``%`` template.
     """
-    if set(map(type, batch)) == {dict} and len(set(map(tuple, batch))) == 1 and batch[0]:
-        inner = indent + "  "
-        columns = [_column_texts(column, inner) for column in zip(*map(dict.values, batch))]
-        if None not in columns:
-            keys = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in batch[0]]
-            template = f"{{\n{inner}" + f",\n{inner}".join(keys) + f"\n{indent}}}"
-            return map(template.__mod__, zip(*columns))
-    return map(_json_text, batch, repeat(indent))
-
-
-def _column_texts(column: tuple, indent: str):
-    """The texts of a column of one exact type as an iterator, or ``None`` for another column."""
     kinds = set(map(type, column))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is dict:
-        return _texts(column, indent)
-    if kind is float:
-        return map(float.__repr__, column) if all(map(math.isfinite, column)) else None
-    write = _SCALAR_TEXT.get(kind)
-    return write and map(write, column)
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return map(float.__repr__, column)
+    if len(kinds) == 1 and (write := _SCALAR_TEXT.get(*kinds)):  # an inf or NaN raises in row order
+        return map(write, column)
+    if kinds != {dict} or not column[0] or len(set(map(tuple, column))) != 1:
+        return None
+    inner = indent + "  "
+    columns = [_column_texts(values, inner) for values in zip(*map(dict.values, column))]
+    if None in columns:
+        return None
+    keys = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in column[0]]
+    template = f"{{\n{inner}" + f",\n{inner}".join(keys) + f"\n{indent}}}"
+    return map(template.__mod__, zip(*columns))
 
 
 # Items are joined into chunks of about this many characters before they are
@@ -599,14 +580,13 @@ def json_chunks(sections):
 
     Keys must be strings, and a NaN or infinity raises ``ValueError``. Each
     iterator is written as a list, and ``json.dumps``'s pure-Python indenting
-    encoder is not used.
-    A dict is rendered one value at a time, and a list, tuple or iterator in
-    batches of ``_BATCH`` items. A batch of exact dicts with the same keys in
-    the same order is rendered by column, each column with one ``map``, and
-    the rows through one template; any other batch one item at a time. Item
-    texts are handed on one at a time and joined into pieces of about
-    ``_CHUNK_CHARS`` characters, so a caller that writes the pieces out as
-    they come holds one piece and the values of one batch at a time.
+    encoder is not used. Containers are written only by ``_object_chunks``
+    (one value at a time) and ``_array_chunks`` (in batches of ``_BATCH``
+    items). A batch goes by column when ``_column_texts`` can take it, each
+    column with one ``map`` and same-keyed rows through one template, and
+    otherwise one item at a time. Item texts are joined into pieces of about
+    ``_CHUNK_CHARS`` characters, so a caller that writes the pieces out as they
+    come holds one piece and the values of one batch at a time.
     """
     yield from _object_chunks(sections, "")
     yield "\n"
@@ -618,25 +598,25 @@ def _object_chunks(pairs, indent: str):
     for key, value in pairs:
         yield f"{opening}{encode_basestring_ascii(key)}: "
         opening = separator
-        if isinstance(value, dict):
-            yield from _object_chunks(value.items(), inner)
-        elif isinstance(value, (list, tuple, Iterator)):
-            yield from _array_chunks(value, inner)
-        else:
-            yield _json_text(value, inner)
+        yield from _chunks(value, inner)
     yield "{}" if opening[0] == "{" else f"\n{indent}}}"
 
 
 def _array_chunks(items, indent: str):
     inner = indent + "  "
     opening, separator = "[\n" + inner, ",\n" + inner
+    items = iter(items)
     rows, size = [], 0
-    for text in _texts(items, inner):
-        rows.append(text)
-        size += len(text)
-        if size >= _CHUNK_CHARS:
-            yield opening + separator.join(rows)
-            opening, rows, size = separator, [], 0
+    for batch in iter(lambda: list(islice(items, _BATCH)), []):
+        texts = _column_texts(batch, inner) or map(_json_text, batch, repeat(inner))
+        del batch  # a table's rows are freed once their columns are taken, its texts ...
+        for text in texts:
+            rows.append(text)
+            size += len(text)
+            if size >= _CHUNK_CHARS:
+                yield opening + separator.join(rows)
+                opening, rows, size = separator, [], 0
+        del texts  # ... before the next batch is built
     if rows:
         yield f"{opening}{separator.join(rows)}\n{indent}]"
     else:

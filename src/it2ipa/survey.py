@@ -378,9 +378,10 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
     if content:
         try:
             panel_size = _count(content["panel_size"])
-            essential_counts = {
-                str(k): _count(v) for k, v in dict(content["essential_counts"]).items()
-            }
+            counts = content["essential_counts"]
+            if type(counts) is not dict:
+                raise TypeError("'essential_counts' must be a JSON object")
+            essential_counts = {k: _count(v) for k, v in counts.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(
                 str(path), f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
@@ -406,6 +407,6 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
                 raise InputFileError(
                     str(path), f"dimension {dim!r}: reliability grid must be finite numbers: {exc}"
                 ) from exc
-            dimension_scores[str(dim)] = grid
+            dimension_scores[dim] = grid
         alpha_threshold = _threshold(path, reliability, "reliability", alpha_threshold)
     return Psychometrics(panel_size, essential_counts, dimension_scores, cvr_threshold, alpha_threshold)

@@ -11,9 +11,14 @@ aggregated.csv --psychometrics psychometrics.json`` run inside
 aggregated generator, seed ``"golden"``, with non-ASCII, quoted, tab and
 backslash names and one ``-0.0`` endpoint) and CVR counts with three Likert
 grids, so the psychometrics section, the rank breakdowns and
-``psychometrics.csv`` are pinned too. A report names its input by path, so
-the golden copies carry a placeholder in its place, or the relative path the
-run was given. The same files come out under a locale whose encoding is
+``psychometrics.csv`` are pinned too. ``golden_flags/`` pins the non-default
+flags: ``bundled/`` and ``aggregated/`` hold the files of the bundled and the
+``golden_aggregated`` inputs run with ``--cffs-mode as_written
+--partition-mode comparison --thresholds 0.2,0.5``, and ``scale/`` those of
+``golden_ratings/ratings.csv`` run with ``--scale scale.json``, a five-term
+scale with other values, whose labels are spelled in another case or with
+padding. A report names its input by path, so the golden copies carry a
+placeholder in its place, or the relative path the run was given. The same files come out under a locale whose encoding is
 ASCII: outputs are written as UTF-8 whatever the locale.
 """
 
@@ -31,7 +36,9 @@ HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
 GOLDEN_RATINGS = HERE / "golden_ratings"
 GOLDEN_AGGREGATED = HERE / "golden_aggregated"
+GOLDEN_FLAGS = HERE / "golden_flags"
 FORMATS = ["--format", "structured", "--format", "delimited", "--format", "svg-map"]
+FLAGS = ["--cffs-mode", "as_written", "--partition-mode", "comparison", "--thresholds", "0.2,0.5"]
 
 
 def portable(data: bytes, source: Path, placeholder: str) -> bytes:
@@ -68,6 +75,26 @@ def test_aggregated_psychometrics_outputs_match_golden(tmp_path, capsys, monkeyp
     assert_outputs_match(GOLDEN_AGGREGATED / "out", source, str(source),
                          ["--aggregated", str(source), "--psychometrics", "psychometrics.json"],
                          tmp_path, capsys)
+
+
+def test_non_default_flags_outputs_match_golden(tmp_path, capsys):
+    assert_outputs_match(GOLDEN_FLAGS / "bundled", fixtures.aggregated_path(), "<bundled>", FLAGS,
+                         tmp_path, capsys)
+
+
+def test_non_default_flags_aggregated_outputs_match_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_AGGREGATED)
+    source = Path("aggregated.csv")
+    assert_outputs_match(GOLDEN_FLAGS / "aggregated", source, str(source),
+                         ["--aggregated", str(source), "--psychometrics", "psychometrics.json",
+                          *FLAGS], tmp_path, capsys)
+
+
+def test_custom_scale_outputs_match_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_FLAGS)
+    source = Path("../golden_ratings/ratings.csv")
+    assert_outputs_match(GOLDEN_FLAGS / "scale", source, str(source),
+                         ["--ratings", str(source), "--scale", "scale.json"], tmp_path, capsys)
 
 
 def test_outputs_are_utf8_whatever_the_locale(tmp_path):

@@ -207,6 +207,9 @@ class TestMul:
     def test_preserves_invariants_on_nonnegative_supports(self, a, b):
         assert mul(a, b).violations() == []
 
+    def test_operator(self, terms):
+        assert terms["Low"] * terms["Medium"] == mul(terms["Low"], terms["Medium"])
+
 
 class TestDiv:
     def test_crisp_ratio_is_one(self):
@@ -266,6 +269,14 @@ class TestScalarDiv:
     def test_nonpositive_divisor_rejected(self, terms, m):
         with pytest.raises(InvalidDivisorError):
             scalar_div(terms["Low"], m)
+
+    def test_operator(self, terms):
+        assert terms["Medium"] / 3 == scalar_div(terms["Medium"], 3)
+
+    @pytest.mark.parametrize("m", [1.5, True])
+    def test_operator_takes_only_an_int_divisor(self, terms, m):
+        with pytest.raises(TypeError):
+            terms["Medium"] / m
 
     @given(it2_values(), st.integers(min_value=1, max_value=20))
     def test_heights_preserved(self, a, m):

@@ -695,6 +695,9 @@ class TestCli:
         {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": True}},
         {"content_validity": {"panel_size": 3, "essential_counts": {"x_1": 3}, "threshold": None}},
         {"reliability": {"dimensions": {"Culture": [[1, 2], [2, 3]]}, "threshold": None}},
+        {"content_validity": {"panel_size": 10, "essential_counts": [["x1", 7], ["x1", 9]]}},
+        [],
+        {"reliability": {"threshold": 0.7}},
     ])
     def test_malformed_psychometrics_diagnostic_names_the_file(self, tmp_path, capsys, doc):
         path = tmp_path / "psy.json"
@@ -771,6 +774,20 @@ class TestCli:
         diagnostic = json.loads(err.removeprefix("error: "))
         assert diagnostic["file"] == str(path) and repr(name) in diagnostic["cause"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--psychometrics", "absent.json"),
+        ("--scale", "absent.json"),
+        ("--ratings", ""),  # the directory itself
+    ], ids=["psychometrics-missing", "scale-missing", "ratings-directory"])
+    def test_unreadable_input_names_the_file(self, tmp_path, capsys, flag, name):
+        path = tmp_path / name
+        assert main([flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        diagnostic = json.loads(err.removeprefix("error: "))
+        assert diagnostic["file"] == str(path)
+        assert diagnostic["cause"].startswith("cannot read file: ")
 
     @pytest.mark.parametrize("flag", ["--psychometrics", "--scale"])
     @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,

@@ -92,6 +92,12 @@ class TestFailureScore:
         with pytest.raises(ValueError, match="mode-free"):
             FuzzyScore(F, "success", terms["Low"], mode="as_written")
 
+    @pytest.mark.parametrize("kind,match", [("neutral", "kind must be"), ("failure", "need a mode")],
+                             ids=["unknown-kind", "failure-without-mode"])
+    def test_malformed_score_rejected(self, terms, kind, match):
+        with pytest.raises(ValueError, match=match):
+            FuzzyScore(F, kind, terms["Low"])
+
 
 def rank_oracle(a: IT2TrapFN) -> float:
     """Step-by-step evaluation: pairwise means, pair/quad population
