@@ -6,7 +6,7 @@ import csv
 import itertools
 import math
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from contextlib import closing, suppress
 from pathlib import Path
 
@@ -105,6 +105,10 @@ def cvr(n_essential: int, n_panel: int) -> float:
     return (n_essential - half) / half
 
 
+# Ints below it in magnitude take ``cronbach_alpha``'s counted route.
+_COUNTED_BOUND = 2**26
+
+
 def _sample_variance(values) -> float:
     # two-pass form: the mean first, then the squared deviations from it
     mean = math.fsum(values) / len(values)
@@ -112,12 +116,55 @@ def _sample_variance(values) -> float:
     return math.fsum(d * d for d in deviations) / (len(values) - 1)
 
 
-def cronbach_alpha(scores) -> float:
-    """Internal-consistency coefficient over a respondents x items grid.
+def _counted_variance(counts: Counter, n: int) -> float:
+    """``_sample_variance`` of ``n`` ints from their value counts, bit for bit.
 
-    Uses the variance form with sample (N-1) variances. Requires at least
-    two respondents, two items, and nonzero total-score variance.
+    ``fsum`` returns its addends' exact sum rounded once, so each sum here is
+    the exact integer sum of the same rounded floats over one power-of-two
+    denominator, rounded once by an int/int true division.
     """
+    mean = float(sum(v * c for v, c in counts.items())) / n
+    squares = []  # (count, numerator, denominator) of each distinct value's d * d
+    for v, c in counts.items():
+        d = float(v) - mean
+        squares.append((c, *(d * d).as_integer_ratio()))
+    denominator = max(den for _, _, den in squares)
+    exact = sum(c * num * (denominator // den) for c, num, den in squares)
+    return exact / denominator / (n - 1)
+
+
+def _counted_variances(scores):
+    """``(k, item variance, total variance)`` of a list of equal-length int lists, or None.
+
+    Below 2**26 every int is an exact float and every row total of fewer than
+    2**27 items is exact, so counting each column's values gives the two-pass
+    variances bit for bit. Types are checked on the distinct values: a cell
+    equal to an earlier int of its column (a later ``True`` after a 1) counts
+    as that int, and a float cell makes its row's total a float. Any other
+    grid gets None.
+    """
+    if type(scores) is not list or len(scores) < 2 or not {list}.issuperset(map(type, scores)):
+        return None
+    k = len(scores[0])
+    if k < 2 or {k} != set(map(len, scores)):
+        return None
+    try:
+        columns = list(map(Counter, zip(*scores)))
+    except TypeError:  # an unhashable cell, which the two-pass route refuses
+        return None
+    if not all(type(v) is int and -_COUNTED_BOUND < v < _COUNTED_BOUND
+               for counts in columns for v in counts):
+        return None
+    totals = Counter(map(sum, scores))
+    if not {int}.issuperset(map(type, totals)):
+        return None
+    n = len(scores)
+    item_variance = math.fsum(_counted_variance(counts, n) for counts in columns)
+    return k, item_variance, _counted_variance(totals, n)
+
+
+def _two_pass_variances(scores):
+    """``(k, item variance, total variance)`` of any grid of numbers, converted to floats."""
     try:
         grid = [list(map(float, row)) for row in scores]
     except (TypeError, ValueError) as exc:
@@ -134,6 +181,22 @@ def cronbach_alpha(scores) -> float:
             raise OverflowError("a variance is not finite")
     except (OverflowError, ValueError) as exc:
         raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
+    return k, item_variance, total_variance
+
+
+def cronbach_alpha(scores) -> float:
+    """Internal-consistency coefficient over a respondents x items grid.
+
+    Uses the variance form with sample (N-1) variances. Requires at least
+    two respondents, two items, and nonzero total-score variance.
+
+    A list of at least two equal-length lists of at least two exact ints,
+    each of magnitude below 2**26 (Likert answers, as ``json.loads`` leaves
+    them), has its variances computed from each column's value counts; any
+    other grid is converted to floats. The two routes give the same value,
+    bit for bit.
+    """
+    k, item_variance, total_variance = _counted_variances(scores) or _two_pass_variances(scores)
     if total_variance <= 0:
         raise DegenerateDataError("total-score variance is zero")
     alpha = k / (k - 1) * (1.0 - item_variance / total_variance)
@@ -325,15 +388,23 @@ def _section(path: Path, doc: dict, name: str) -> dict:
     return section
 
 
+def _finite(rows) -> bool:
+    """Whether each int or float in the iterables ``rows``, read at most twice, is finite."""
+    with suppress(OverflowError, ValueError):  # the exact sum is finite only if every value is
+        if math.isfinite(math.fsum(itertools.chain.from_iterable(rows))):
+            return True
+    with suppress(OverflowError):  # an integer past the float range is not finite
+        return all(map(math.isfinite, itertools.chain.from_iterable(rows)))
+    return False
+
+
 def _check_numbers(rows: list, what: str) -> None:
     """Refuse unless each value in the lists ``rows`` is an exact int or float in the float range."""
-    # two whole passes in C; exact types, so no bool and no str
+    # whole passes in C; exact types, so no bool and no str
     if not {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows))):
         raise TypeError(f"{what} is not a JSON number")
-    with suppress(OverflowError):  # an integer past the float range is not finite
-        if all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-            return
-    raise ValueError(f"{what} is not finite")
+    if not _finite(rows):
+        raise ValueError(f"{what} is not finite")
 
 
 def _count(value) -> int:
@@ -381,7 +452,11 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
             counts = content["essential_counts"]
             if type(counts) is not dict:
                 raise TypeError("'essential_counts' must be a JSON object")
-            essential_counts = {k: _count(v) for k, v in counts.items()}
+            values = counts.values()
+            if {int}.issuperset(map(type, values)) and _finite([values]):
+                essential_counts = dict(counts)
+            else:  # the first bad count is the one named
+                essential_counts = {k: _count(v) for k, v in counts.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(
                 str(path), f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
@@ -398,7 +473,7 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
             raise InputFileError(str(path), "reliability needs a 'dimensions' object")
         for dim, grid in grids.items():
             _check_name(path, "dimension", dim)
-            # checked where it was decoded: ``cronbach_alpha`` converts one grid at a time
+            # checked and kept as decoded: ``cronbach_alpha`` counts an int grid's values
             try:
                 if type(grid) is not list or not {list}.issuperset(map(type, grid)):
                     raise TypeError("the grid and each row must be JSON arrays")

@@ -302,24 +302,10 @@ class TestEmit:
         report = run_pipeline(PipelineConfig(), **inputs)
         assert "".join(json_chunks(report.sections())) == dumps(report.to_structured())
 
-    def test_structured_emit_holds_one_section_at_a_time(self, tmp_path):
-        rng = random.Random(2000)
-        rows = "".join(
-            f'f{i},"{random_it2(rng).to_text()}","{random_it2(rng).to_text()}"\n'
-            for i in range(2000)
-        )
-        (tmp_path / "agg.csv").write_text("factor_id,importance,performance\n" + rows)
-        report = run_pipeline(PipelineConfig(), aggregated_path=tmp_path / "agg.csv")
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            emit(report, tmp_path / "out", [STRUCTURED])
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+    def test_structured_emit_holds_one_section_at_a_time(self, report_2000, tmp_path):
+        peak, size = emit_peak(report_2000, tmp_path, [STRUCTURED])
         # the whole document and its joined text come to about 3x the file
-        assert peak < 1.5 * (tmp_path / "out" / "report.json").stat().st_size
+        assert peak < 1.5 * size
 
     def test_structured_emit_holds_one_row_at_a_time(self, report_2000, tmp_path):
         # a whole section (the rankings) came to 1.3x the file

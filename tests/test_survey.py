@@ -6,9 +6,12 @@ import json
 import random
 import tracemalloc
 import warnings
+from pathlib import Path
 from statistics import variance
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from it2ipa import (
     DegenerateDataError,
@@ -177,6 +180,37 @@ def alpha_oracle(grid):
     return k / (k - 1) * (1 - item_vars / total_var)
 
 
+# Cells of the int grids that take ``cronbach_alpha``'s counted route: Likert
+# answers, signed ones, and ints of either sign just under its bound of 2**26.
+INT_CELLS = [
+    lambda rng: rng.randint(1, 5),
+    lambda rng: rng.randint(-5, 5),
+    lambda rng: rng.choice((-1, 1)) * rng.randint(2**26 - 4, 2**26 - 1),
+]
+
+
+@st.composite
+def int_grids(draw):
+    """A respondents x items grid of ints, some columns constant, some grids with equal rows."""
+    n, k = draw(st.integers(2, 60)), draw(st.integers(2, 12))
+    cell = draw(st.sampled_from(INT_CELLS))
+    rng = draw(st.randoms(use_true_random=False))
+    grid = [[cell(rng) for _ in range(k)] for _ in range(n)]
+    for j in draw(st.sets(st.integers(0, k - 1), max_size=k)):
+        for row in grid:
+            row[j] = grid[0][j]
+    if draw(st.integers(0, 9)) == 0:  # every respondent alike: no total variance
+        grid = [list(grid[0]) for _ in range(n)]
+    return grid
+
+
+def alpha_or_error(grid):
+    try:
+        return cronbach_alpha(grid)
+    except DegenerateDataError as exc:
+        return DegenerateDataError, str(exc)
+
+
 class TestCronbachAlpha:
     def test_perfectly_correlated_items(self):
         # identical items with nonzero variance
@@ -217,7 +251,8 @@ class TestCronbachAlpha:
         [["a", "b"], ["c", "d"]],
         [[1e200, 1], [1, 2e200]],  # variances overflow to a NaN coefficient
         [[1e308, 1e308], [1, 2], [3, 1]],  # row sums overflow
-    ], ids=["ragged", "non-numeric", "overflow", "sum-overflow"])
+        [[[1], 2], [2, 3], [3, 5]],
+    ], ids=["ragged", "non-numeric", "overflow", "sum-overflow", "unhashable"])
     def test_unusable_grids(self, grid):
         with pytest.raises(DegenerateDataError):
             cronbach_alpha(grid)
@@ -226,6 +261,41 @@ class TestCronbachAlpha:
         # row totals 0 and 1e-161: a total variance of 5e-323 under item variances of 1e20
         with pytest.raises(DegenerateDataError, match="too small"):
             cronbach_alpha([[1e10, -1e10, 0.0], [-1e10, 1e10, 1e-161]])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(int_grids())
+    def test_counted_route_equals_the_two_pass_route(self, grid):
+        assert it2ipa.survey._counted_variances(grid) is not None
+        assert alpha_or_error(grid) == alpha_or_error([list(map(float, row)) for row in grid])
+
+    def test_golden_grids_take_the_counted_route(self):
+        # so that the golden psychometrics outputs pin the counted route bit for bit
+        path = Path(__file__).parent / "golden_aggregated" / "psychometrics.json"
+        grids = load_psychometrics(path).dimension_scores.values()
+        assert len(grids) == 3
+        assert all(it2ipa.survey._counted_variances(grid) is not None for grid in grids)
+
+    def test_a_later_true_counts_as_its_int(self):
+        grid = [[1, 2], [True, 3], [3, 5]]
+        assert it2ipa.survey._counted_variances(grid) is not None
+        assert cronbach_alpha(grid) == cronbach_alpha([[1.0, 2.0], [1.0, 3.0], [3.0, 5.0]])
+
+    @pytest.mark.parametrize("make_grid", [
+        lambda: [[1, 2.5], [2, 3], [3, 5]],
+        lambda: [[1, 2], [1.0, 3], [3, 5]],
+        lambda: [[True, 2], [2, 3], [3, 5]],
+        lambda: [[2**26, 1], [1, 2], [3, 3]],
+        lambda: [[-(2**26), 1], [1, 2], [3, 3]],
+        lambda: [(1, 2), (2, 3), (3, 5)],
+        lambda: [(v for v in row) for row in [[1, 2], [2, 3], [3, 5]]],
+        lambda: [[1, 2], [2, 3], [3]],
+    ], ids=["float-cell", "float-equal-to-an-earlier-int", "true-first-in-its-column",
+            "int-at-the-bound", "int-at-the-negative-bound", "tuple-rows", "generator-rows",
+            "ragged"])
+    def test_other_grids_take_the_two_pass_route(self, make_grid):
+        assert it2ipa.survey._counted_variances(make_grid()) is None
+        floats = [list(map(float, row)) for row in make_grid()]
+        assert alpha_or_error(make_grid()) == alpha_or_error(floats)
 
 
 def test_factor_sort_key_natural_order():
@@ -496,6 +566,8 @@ FACTOR_TABLE_DIAGNOSTICS = {
     "aggregated-empty-factor-id": (
         parse_aggregated, f'factor_id,importance,performance\n ,"{LOW}","{LOW}"\n,"{LOW}","{LOW}"\n',
         2, "empty factor_id cell"),
+    "ratings-empty-expert-cell": (parse_ratings, "factor_id,facet,e1,e2\nx1,importance,High,\n",
+                                  2, "factor x1: empty importance cell"),
 }
 
 
@@ -639,6 +711,32 @@ class TestLoadPsychometrics:
         path.write_text("[1, 2")
         with pytest.raises(InputFileError, match="invalid JSON"):
             load_psychometrics(path)
+
+    @pytest.mark.parametrize("grid", ["[[Infinity, -Infinity]]", "[[1, 1%s]]" % ("0" * 400)],
+                             ids=["infinities-of-both-signs", "int-past-the-float-range"])
+    def test_scores_whose_sum_is_not_a_number_are_not_finite(self, tmp_path, grid):
+        path = tmp_path / "psy.json"
+        path.write_text('{"reliability": {"dimensions": {"Culture": %s}}}' % grid)
+        with pytest.raises(InputFileError, match="Culture.*a score is not finite"):
+            load_psychometrics(path)
+
+    def test_finite_scores_whose_sum_overflows_are_accepted(self, tmp_path):
+        path = tmp_path / "psy.json"
+        path.write_text('{"reliability": {"dimensions": {"Culture": [[1e308, 1e308], [1, 2]]}}}')
+        assert load_psychometrics(path).dimension_scores == {"Culture": [[1e308, 1e308], [1, 2]]}
+
+    @pytest.mark.parametrize("counts,cause", [
+        ('{"x_1": 9, "x_2": 1%s, "x_3": 1%s}' % ("0" * 400, "0" * 401),
+         "1%s is not finite" % ("0" * 400)),
+        ('{"x_1": 9, "x_2": 9.5, "x_3": true}', "9.5 is not a whole number"),
+        ('{"x_1": 9, "x_2": true, "x_3": 9.5}', "True is not a JSON number"),
+    ], ids=["int-past-the-float-range", "fraction", "bool"])
+    def test_the_first_bad_count_is_named(self, tmp_path, counts, cause):
+        path = tmp_path / "psy.json"
+        path.write_text('{"content_validity": {"panel_size": 11, "essential_counts": %s}}' % counts)
+        with pytest.raises(InputFileError) as excinfo:
+            load_psychometrics(path)
+        assert excinfo.value.cause.endswith(f"'essential_counts': {cause}")
 
     @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_score_rejected(self, tmp_path, score):
