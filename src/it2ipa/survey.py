@@ -96,16 +96,17 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
 
 
 def cvr(n_essential: int, n_panel: int) -> float:
-    """Lawshe content validity ratio: (n_e - N/2) / (N/2), in [-1, 1]."""
+    """Lawshe content validity ratio (n_e - N/2) / (N/2), in [-1, 1], as one rounded
+    int/int division, (2 n_e - N) / N, which counts past the float range do not overflow."""
     if n_panel < 1 or n_essential < 0 or n_essential > n_panel:
         raise InvalidCountsError(
             f"need 0 <= n_essential <= n_panel and n_panel >= 1, got ({n_essential}, {n_panel})"
         )
-    half = n_panel / 2.0
-    return (n_essential - half) / half
+    return (2 * n_essential - n_panel) / n_panel
 
 
-# Ints below it in magnitude take ``cronbach_alpha``'s counted route.
+# Ints below it in magnitude take ``cronbach_alpha``'s counted kernel: each is an exact
+# float, and so is a row total of fewer than 2**27 of them.
 _COUNTED_BOUND = 2**26
 
 
@@ -133,70 +134,51 @@ def _counted_variance(counts: Counter, n: int) -> float:
     return exact / denominator / (n - 1)
 
 
-def _counted_variances(scores):
-    """``(k, item variance, total variance)`` of a list of equal-length int lists, or None.
-
-    Below 2**26 every int is an exact float and every row total of fewer than
-    2**27 items is exact, so counting each column's values gives the two-pass
-    variances bit for bit. Types are checked on the distinct values: a cell
-    equal to an earlier int of its column (a later ``True`` after a 1) counts
-    as that int, and a float cell makes its row's total a float. Any other
-    grid gets None.
-    """
-    if type(scores) is not list or len(scores) < 2 or not {list}.issuperset(map(type, scores)):
-        return None
-    k = len(scores[0])
-    if k < 2 or {k} != set(map(len, scores)):
-        return None
-    try:
-        columns = list(map(Counter, zip(*scores)))
-    except TypeError:  # an unhashable cell, which the two-pass route refuses
-        return None
-    if not all(type(v) is int and -_COUNTED_BOUND < v < _COUNTED_BOUND
-               for counts in columns for v in counts):
-        return None
-    totals = Counter(map(sum, scores))
-    if not {int}.issuperset(map(type, totals)):
-        return None
-    n = len(scores)
-    item_variance = math.fsum(_counted_variance(counts, n) for counts in columns)
-    return k, item_variance, _counted_variance(totals, n)
-
-
-def _two_pass_variances(scores):
-    """``(k, item variance, total variance)`` of any grid of numbers, converted to floats."""
-    try:
-        grid = [list(map(float, row)) for row in scores]
-    except (TypeError, ValueError) as exc:
-        raise DegenerateDataError(f"scores grid is not numeric: {exc}") from exc
-    k = len(grid[0]) if grid else 0
-    if len(grid) < 2 or k < 2 or any(len(row) != k for row in grid):
-        raise DegenerateDataError(
-            f"need a rectangular grid of >= 2 respondents x >= 2 items, got {len(grid)} rows"
-        )
-    try:
-        item_variance = math.fsum(_sample_variance(column) for column in zip(*grid))
-        total_variance = _sample_variance([math.fsum(row) for row in grid])
-        if not math.isfinite(item_variance + total_variance):
-            raise OverflowError("a variance is not finite")
-    except (OverflowError, ValueError) as exc:
-        raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
-    return k, item_variance, total_variance
-
-
 def cronbach_alpha(scores) -> float:
     """Internal-consistency coefficient over a respondents x items grid.
 
     Uses the variance form with sample (N-1) variances. Requires at least
-    two respondents, two items, and nonzero total-score variance.
-
-    A list of at least two equal-length lists of at least two exact ints,
-    each of magnitude below 2**26 (Likert answers, as ``json.loads`` leaves
-    them), has its variances computed from each column's value counts; any
-    other grid is converted to floats. The two routes give the same value,
-    bit for bit.
+    two respondents, two items, and nonzero total-score variance; any other
+    grid, or one of numbers too large for float arithmetic, raises
+    ``DegenerateDataError``. A grid whose items hold only exact ints below
+    2**26 in magnitude (Likert answers, as ``json.loads`` leaves them) has
+    its variances computed from each item's value counts; any other grid is
+    converted to floats. Both give the same value, bit for bit.
     """
-    k, item_variance, total_variance = _counted_variances(scores) or _two_pass_variances(scores)
+    try:
+        rows = [row if type(row) is list else list(row) for row in scores]
+    except TypeError as exc:
+        raise DegenerateDataError(f"scores grid is not numeric: {exc}") from exc
+    n, k = len(rows), len(rows[0]) if rows else 0
+    if n < 2 or k < 2 or set(map(len, rows)) != {k}:
+        raise DegenerateDataError(
+            f"need a rectangular grid of >= 2 respondents x >= 2 items, got {n} rows"
+        )
+    try:
+        columns = list(map(Counter, zip(*rows)))
+        # a cell equal to an earlier int of its column (a later True after a 1)
+        # counts as that int; a float cell makes its row's total a float
+        totals = all(type(v) is int and -_COUNTED_BOUND < v < _COUNTED_BOUND
+                     for counts in columns for v in counts) and Counter(map(sum, rows))
+    except TypeError:  # an unhashable cell, which ``float`` takes or refuses below
+        totals = None
+    if totals and {int}.issuperset(map(type, totals)):
+        item_variance = math.fsum(_counted_variance(counts, n) for counts in columns)
+        total_variance = _counted_variance(totals, n)
+    else:
+        try:
+            grid = [list(map(float, row)) for row in rows]
+        except (TypeError, ValueError) as exc:
+            raise DegenerateDataError(f"scores grid is not numeric: {exc}") from exc
+        except OverflowError as exc:  # an int past the float range
+            raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
+        try:
+            item_variance = math.fsum(map(_sample_variance, zip(*grid)))
+            total_variance = _sample_variance(list(map(math.fsum, grid)))
+            if not math.isfinite(item_variance + total_variance):
+                raise OverflowError("a variance is not finite")
+        except (OverflowError, ValueError) as exc:
+            raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
     if total_variance <= 0:
         raise DegenerateDataError("total-score variance is zero")
     alpha = k / (k - 1) * (1.0 - item_variance / total_variance)

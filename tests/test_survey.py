@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 from statistics import variance
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,17 @@ class TestCvr:
         with pytest.raises(InvalidCountsError):
             cvr(n_essential, n_panel)
 
+    def test_equals_the_half_panel_formula(self):
+        # one rounding of the same exact ratio, so every golden CVR stays the same float
+        for n_panel in [*range(1, 301), 11.0]:
+            half = n_panel / 2.0
+            for n_essential in range(int(n_panel) + 1):
+                assert cvr(n_essential, n_panel) == (n_essential - half) / half, (n_essential, n_panel)
+
+    def test_counts_past_the_float_range(self):
+        value = cvr(10**400, 10**400 + 1)
+        assert type(value) is float and -1.0 <= value <= 1.0
+
 
 def alpha_oracle(grid):
     """Straightforward variance-based computation, independent of numpy."""
@@ -209,6 +221,14 @@ def alpha_or_error(grid):
         return cronbach_alpha(grid)
     except DegenerateDataError as exc:
         return DegenerateDataError, str(exc)
+
+
+def takes_the_counted_kernel(grid) -> bool:
+    """Whether ``cronbach_alpha(grid)`` computes its variances from value counts."""
+    kernel = it2ipa.survey._counted_variance
+    with mock.patch.object(it2ipa.survey, "_counted_variance", wraps=kernel) as counted:
+        alpha_or_error(grid)
+    return counted.called
 
 
 class TestCronbachAlpha:
@@ -252,7 +272,10 @@ class TestCronbachAlpha:
         [[1e200, 1], [1, 2e200]],  # variances overflow to a NaN coefficient
         [[1e308, 1e308], [1, 2], [3, 1]],  # row sums overflow
         [[[1], 2], [2, 3], [3, 5]],
-    ], ids=["ragged", "non-numeric", "overflow", "sum-overflow", "unhashable"])
+        [[10**400, 1], [1, 2], [3, 5]],
+        [[1, 2], 3, [3, 5]],
+    ], ids=["ragged", "non-numeric", "overflow", "sum-overflow", "unhashable",
+            "int-past-the-float-range", "row-not-iterable"])
     def test_unusable_grids(self, grid):
         with pytest.raises(DegenerateDataError):
             cronbach_alpha(grid)
@@ -265,7 +288,7 @@ class TestCronbachAlpha:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(int_grids())
     def test_counted_route_equals_the_two_pass_route(self, grid):
-        assert it2ipa.survey._counted_variances(grid) is not None
+        assert takes_the_counted_kernel(grid)
         assert alpha_or_error(grid) == alpha_or_error([list(map(float, row)) for row in grid])
 
     def test_golden_grids_take_the_counted_route(self):
@@ -273,11 +296,11 @@ class TestCronbachAlpha:
         path = Path(__file__).parent / "golden_aggregated" / "psychometrics.json"
         grids = load_psychometrics(path).dimension_scores.values()
         assert len(grids) == 3
-        assert all(it2ipa.survey._counted_variances(grid) is not None for grid in grids)
+        assert all(map(takes_the_counted_kernel, grids))
 
     def test_a_later_true_counts_as_its_int(self):
         grid = [[1, 2], [True, 3], [3, 5]]
-        assert it2ipa.survey._counted_variances(grid) is not None
+        assert takes_the_counted_kernel(grid)
         assert cronbach_alpha(grid) == cronbach_alpha([[1.0, 2.0], [1.0, 3.0], [3.0, 5.0]])
 
     @pytest.mark.parametrize("make_grid", [
@@ -286,16 +309,21 @@ class TestCronbachAlpha:
         lambda: [[True, 2], [2, 3], [3, 5]],
         lambda: [[2**26, 1], [1, 2], [3, 3]],
         lambda: [[-(2**26), 1], [1, 2], [3, 3]],
-        lambda: [(1, 2), (2, 3), (3, 5)],
-        lambda: [(v for v in row) for row in [[1, 2], [2, 3], [3, 5]]],
         lambda: [[1, 2], [2, 3], [3]],
     ], ids=["float-cell", "float-equal-to-an-earlier-int", "true-first-in-its-column",
-            "int-at-the-bound", "int-at-the-negative-bound", "tuple-rows", "generator-rows",
-            "ragged"])
+            "int-at-the-bound", "int-at-the-negative-bound", "ragged"])
     def test_other_grids_take_the_two_pass_route(self, make_grid):
-        assert it2ipa.survey._counted_variances(make_grid()) is None
+        assert not takes_the_counted_kernel(make_grid())
         floats = [list(map(float, row)) for row in make_grid()]
         assert alpha_or_error(make_grid()) == alpha_or_error(floats)
+
+    @pytest.mark.parametrize("make_grid", [
+        lambda: [(1, 2), (2, 3), (3, 5)],
+        lambda: [(v for v in row) for row in [[1, 2], [2, 3], [3, 5]]],
+    ], ids=["tuple-rows", "generator-rows"])
+    def test_tuple_and_generator_rows_take_the_counted_route(self, make_grid):
+        assert takes_the_counted_kernel(make_grid())
+        assert cronbach_alpha(make_grid()) == cronbach_alpha([[1.0, 2.0], [2.0, 3.0], [3.0, 5.0]])
 
 
 def test_factor_sort_key_natural_order():
