@@ -94,15 +94,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sys.stdout.writelines(lines)
         sys.stdout.flush()
-    except OSError as exc:  # e.g. a full disk, or a pipe whose reader has gone
+    except OSError as exc:  # subprocess only: e.g. a full disk, or a pipe whose reader has gone
         # Nothing more can reach stdout: send what is left in its buffer to the null
         # device, so that the interpreter's own flush at exit fails no more.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return _diagnostic("<stdout>", None, f"cannot write the report: {exc}")
+        devnull = os.open(os.devnull, os.O_WRONLY)  # subprocess only
+        os.dup2(devnull, sys.stdout.fileno())  # subprocess only
+        os.close(devnull)  # subprocess only
+        return _diagnostic("<stdout>", None, f"cannot write the report: {exc}")  # subprocess only
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main())  # subprocess only: ``python -m it2ipa.cli``

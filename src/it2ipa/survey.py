@@ -139,11 +139,12 @@ def cronbach_alpha(scores) -> float:
 
     Uses the variance form with sample (N-1) variances. Requires at least
     two respondents, two items, and nonzero total-score variance; any other
-    grid, or one of numbers too large for float arithmetic, raises
-    ``DegenerateDataError``. A grid whose items hold only exact ints below
-    2**26 in magnitude (Likert answers, as ``json.loads`` leaves them) has
-    its variances computed from each item's value counts; any other grid is
-    converted to floats. Both give the same value, bit for bit.
+    grid, one with a cell that is text or not a finite number, or one of
+    numbers too large for float arithmetic, raises ``DegenerateDataError``. A
+    grid whose items hold only exact ints below 2**26 in magnitude (Likert
+    answers, as ``json.loads`` leaves them) has its variances computed from
+    each item's value counts; any other grid is converted to floats. Both give
+    the same value, bit for bit.
     """
     try:
         rows = [row if type(row) is list else list(row) for row in scores]
@@ -166,6 +167,11 @@ def cronbach_alpha(scores) -> float:
         item_variance = math.fsum(_counted_variance(counts, n) for counts in columns)
         total_variance = _counted_variance(totals, n)
     else:
+        # ``float`` reads text too: take only what it converts as a number
+        kinds = {kind.__name__ for kind in set(map(type, itertools.chain.from_iterable(rows)))
+                 if not hasattr(kind, "__float__") and not hasattr(kind, "__index__")}
+        if kinds:
+            raise DegenerateDataError(f"scores grid is not numeric: a cell of type {min(kinds)!r}")
         try:
             grid = [list(map(float, row)) for row in rows]
         except (TypeError, ValueError) as exc:
@@ -178,6 +184,9 @@ def cronbach_alpha(scores) -> float:
             if not math.isfinite(item_variance + total_variance):
                 raise OverflowError("a variance is not finite")
         except (OverflowError, ValueError) as exc:
+            cell = next((v for v in itertools.chain.from_iterable(grid) if not math.isfinite(v)), None)
+            if cell is not None:
+                raise DegenerateDataError(f"a score is not a finite number: {cell!r}") from exc
             raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
     if total_variance <= 0:
         raise DegenerateDataError("total-score variance is zero")

@@ -3,9 +3,11 @@
 import gc
 import itertools
 import json
+import math
 import random
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 from statistics import variance
 from unittest import mock
@@ -274,11 +276,35 @@ class TestCronbachAlpha:
         [[[1], 2], [2, 3], [3, 5]],
         [[10**400, 1], [1, 2], [3, 5]],
         [[1, 2], 3, [3, 5]],
+        [[" 1", "2 "], ["3", "5"], ["4", "4"]],
+        ["12", "34", "56"],
+        [[Decimal("sNaN"), 1], [1, 2], [3, 5]],  # its ``__float__`` raises ValueError
     ], ids=["ragged", "non-numeric", "overflow", "sum-overflow", "unhashable",
-            "int-past-the-float-range", "row-not-iterable"])
+            "int-past-the-float-range", "row-not-iterable", "numeric-text", "rows-of-digits",
+            "signaling-nan"])
     def test_unusable_grids(self, grid):
         with pytest.raises(DegenerateDataError):
             cronbach_alpha(grid)
+
+    @pytest.mark.parametrize("cell", [" 1", b"1", bytearray(b"1"), memoryview(b"1")],
+                             ids=["str", "bytes", "bytearray", "memoryview"])
+    def test_text_is_not_a_score(self, cell):
+        # ``float`` would read each of these as 1.0
+        with pytest.raises(DegenerateDataError, match="scores grid is not numeric: a cell of type"):
+            cronbach_alpha([[cell, 2.5], [3, 5], [4, 4]])
+
+    @pytest.mark.parametrize("grid", [
+        [[math.nan, 1], [1, 2], [3, 4]],
+        [[math.inf, 1], [1, 2], [3, 4]],
+        [[math.inf, 1], [-math.inf, 2], [3, 4]],  # ``fsum`` refuses -inf + inf
+    ], ids=["nan", "inf", "both-infinities"])
+    def test_non_finite_scores_are_named(self, grid):
+        with pytest.raises(DegenerateDataError, match="a score is not a finite number"):
+            cronbach_alpha(grid)
+
+    def test_finite_scores_that_overflow_are_too_large(self):
+        with pytest.raises(DegenerateDataError, match="scores too large for float arithmetic"):
+            cronbach_alpha([[1e308, 1e308], [1, 2], [3, 1]])
 
     def test_subnormal_total_variance_is_degenerate(self):
         # row totals 0 and 1e-161: a total variance of 5e-323 under item variances of 1e20
