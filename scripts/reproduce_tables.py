@@ -38,9 +38,10 @@ def main() -> int:
 
     print("== Rankings (computed rank values; reference values are not derivable) ==")
     for kind in (scoring.FAILURE, scoring.SUCCESS):
-        print(f"  {kind}: computed order {comparison[kind]['order']} | "
+        ranking = report.rankings[kind]
+        print(f"  {kind}: computed order {[rf.factor.id for rf in ranking]} | "
               f"reference order {comparison[kind]['reference_order']}")
-        for i, rf in enumerate(report.rankings[kind], start=1):
+        for i, rf in enumerate(ranking, start=1):
             print(f"    {i}. {rf.factor.id:5s} rank {rf.rank:.3f}")
     print()
 

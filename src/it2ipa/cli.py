@@ -23,6 +23,12 @@ def _thresholds(text: str) -> MapThresholds:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("a path must not be empty")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="it2ipa",
@@ -33,13 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--ratings", metavar="CSV",
+    source.add_argument("--ratings", type=_path, metavar="CSV",
                         help="per-expert linguistic ratings file")
-    source.add_argument("--aggregated", metavar="CSV",
+    source.add_argument("--aggregated", type=_path, metavar="CSV",
                         help="pre-aggregated fuzzy ratings file (canonical tuples)")
-    parser.add_argument("--psychometrics", metavar="JSON",
+    parser.add_argument("--psychometrics", type=_path, metavar="JSON",
                         help="optional CVR counts and reliability score grids")
-    parser.add_argument("--scale", metavar="JSON",
+    parser.add_argument("--scale", type=_path, metavar="JSON",
                         help="custom linguistic scale (default: built-in five-term scale)")
     parser.add_argument("--thresholds", type=_thresholds, default=MapThresholds(),
                         metavar="T1,T2", help="map band cut points (default: 1/3,2/3)")
@@ -49,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cffs-mode", choices=scoring.FAILURE_MODES,
                         default=scoring.AS_COMPUTED,
                         help="failure-score rule (default: as_computed)")
-    parser.add_argument("--out", metavar="DIR",
+    parser.add_argument("--out", type=_path, metavar="DIR",
                         help="output directory; without it the structured report goes to stdout")
     parser.add_argument("--format", action="append", choices=REPORT_FORMATS, dest="formats",
                         metavar="FMT", help="report format under --out, repeatable (default: structured)")
@@ -65,7 +71,7 @@ def _diagnostic(file: str | None, row: int | None, cause: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.formats and not args.out:
+    if args.formats and args.out is None:
         parser.error("--format needs --out: without it the structured report goes to stdout")
     config = PipelineConfig(
         scale_path=args.scale,
@@ -83,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputFileError as exc:
         return _diagnostic(exc.file, exc.row, exc.cause)
 
-    if args.out:
+    if args.out is not None:
         try:
             written = emit(result, args.out, args.formats or [report_mod.STRUCTURED])
         except report_mod.IoFailureError as exc:

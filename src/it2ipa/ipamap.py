@@ -88,33 +88,27 @@ def partition(
     return parts[WEAKNESS], parts[STRENGTH], parts[BALANCED]
 
 
-def _cell_of(cells: dict, profile: PlacedFactor):
-    """The entry of ``cells``, keyed by the ``REGIONS``, for the profile's region."""
-    try:
-        return cells[profile.region]
-    except KeyError:
-        raise ValueError(
-            f"factor {profile.factor.id}: region {profile.region!r} "
-            "is not one of the nine ipamap.REGIONS"
-        ) from None
-
-
-def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds, *,
-              lazy: bool = False) -> dict:
-    """The map as data: cut points, then the nine cells (high importance first) with factors.
-
-    With ``lazy``, each cell's ``factors`` is an iterator that builds one entry
-    per step, so a writer that consumes each entry before it asks for the next
-    holds no cell's entries at once. A region that is not one of ``REGIONS``
-    raises ``ValueError``.
-    """
+def _by_cell(profiles: list[PlacedFactor]) -> dict[MapRegion, list[PlacedFactor]]:
+    """The ``REGIONS`` in order, each with its profiles in input order; any other raises ``ValueError``."""
     cells = {cell: [] for cell in REGIONS}
     for profile in profiles:
-        _cell_of(cells, profile).append(profile)
-    regions = []
-    for cell, members in cells.items():
-        factors = map(_map_entry, members)
-        regions.append({**cell._asdict(), "factors": factors if lazy else list(factors)})
+        try:
+            cells[profile.region].append(profile)
+        except KeyError:
+            raise ValueError(f"factor {profile.factor.id}: region {profile.region!r} "
+                             "is not one of the nine ipamap.REGIONS") from None
+    return cells
+
+
+def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
+    """The map as data: cut points, then the nine cells (high importance first) with factors.
+
+    Each cell's ``factors`` is an iterator that builds one entry per step, so a writer
+    holds one entry at a time. A region that is not one of ``REGIONS`` raises ``ValueError``
+    in this call, before any entry is built.
+    """
+    regions = [{**cell._asdict(), "factors": map(_map_entry, members)}
+               for cell, members in _by_cell(profiles).items()]
     return {"thresholds": [thresholds.t1, thresholds.t2], "regions": regions}
 
 
@@ -127,10 +121,8 @@ def render_text(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
 
     A region that is not one of ``REGIONS`` raises ``ValueError``.
     """
-    ids = {cell: [] for cell in REGIONS}
-    for profile in profiles:
-        _cell_of(ids, profile).append(profile.factor.id)
-    content = {cell[:2]: " ".join(cell_ids) for cell, cell_ids in ids.items()}  # by the two bands
+    content = {cell[:2]: " ".join(p.factor.id for p in members)  # by the two bands
+               for cell, members in _by_cell(profiles).items()}
     t1, t2 = thresholds
     row_label = "importance"
     widths = {

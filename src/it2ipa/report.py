@@ -51,7 +51,11 @@ class IoFailureError(OSError):
 
 
 class PipelineConfig(namedtuple("PipelineConfig", "scale_path thresholds partition_mode cffs_mode")):
-    """Everything the pipeline needs besides the input files."""
+    """Everything the pipeline needs besides the input files.
+
+    An unknown mode raises ``ValueError``, and ``thresholds`` that are not a
+    ``MapThresholds`` raise ``TypeError``, when built and on ``_replace`` alike.
+    """
 
     __slots__ = ()
 
@@ -61,19 +65,20 @@ class PipelineConfig(namedtuple("PipelineConfig", "scale_path thresholds partiti
             raise ValueError(f"unknown partition mode: {partition_mode!r}")
         if cffs_mode not in scoring.FAILURE_MODES:
             raise ValueError(f"unknown failure-score mode: {cffs_mode!r}")
+        if not isinstance(thresholds, MapThresholds):
+            raise TypeError(f"thresholds must be a MapThresholds, got {thresholds!r}")
         return tuple.__new__(cls, (scale_path, thresholds, partition_mode, cffs_mode))
 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
 
 class Report(namedtuple("Report", (
-    "config scale_source input_source used_bundled_input profiles candidates balanced rankings"
-    " psychometrics comparison"
+    "config input_source profiles candidates balanced rankings psychometrics comparison"
 ))):
     """All pipeline results, ``profiles`` in factor-id order. ``sections`` mirrors the JSON.
 
     ``candidates`` and ``rankings`` map each kind, success first, to its factors. ``comparison``
-    is the reference comparison of a run on the bundled dataset, else ``None``.
+    is the reference side of a run on the bundled dataset, else ``None``, so it also marks that run.
     """
 
     __slots__ = ()
@@ -102,6 +107,7 @@ class Report(namedtuple("Report", (
             return tuple(notes)
 
         success, failure = self.comparison[scoring.SUCCESS], self.comparison[scoring.FAILURE]
+        computed = {kind: [p.factor.id for p in members] for kind, members in self.candidates.items()}
         notes.append(
             f"Success score tuples vs reference ({len(success['reference_candidates'])} factors): "
             f"max endpoint deviation {success['deviation']:.4f}."
@@ -113,20 +119,21 @@ class Report(namedtuple("Report", (
             f"max endpoint deviation {failure['deviation']:.4f} ({agreement} the 0.005 "
             f"reproduction tolerance)."
         )
-        if any(c["candidates"] != c["reference_candidates"] for c in (success, failure)):
+        if any(computed[kind] != self.comparison[kind]["reference_candidates"] for kind in computed):
             notes.append(
                 f"The reference success/failure membership lists are not derivable from the "
                 f"{self.config.partition_mode} partition rule on the defuzzified values: "
-                f"computed failure candidates {failure['candidates']} vs "
+                f"computed failure candidates {computed[scoring.FAILURE]} vs "
                 f"reference {failure['reference_candidates']}; computed success candidates "
-                f"{success['candidates']} vs reference {success['reference_candidates']}. "
+                f"{computed[scoring.SUCCESS]} vs reference {success['reference_candidates']}. "
                 f"Factors absent from both reference lists: {self.comparison['unlisted']}."
             )
-        for kind, c in ((scoring.SUCCESS, success), (scoring.FAILURE, failure)):
-            if c["order"] and c["order"] != c["reference_order"]:
+        for kind, ranking in self.rankings.items():
+            order = [rf.factor.id for rf in ranking]
+            if order and order != self.comparison[kind]["reference_order"]:
                 notes.append(
-                    f"Computed {kind} ranking order {c['order']} differs from the "
-                    f"reference order {c['reference_order']}."
+                    f"Computed {kind} ranking order {order} differs from the "
+                    f"reference order {self.comparison[kind]['reference_order']}."
                 )
         return tuple(notes)
 
@@ -140,15 +147,16 @@ class Report(namedtuple("Report", (
         the next holds one row at a time.
         """
         yield "schema", SCHEMA
+        scale_path = self.config.scale_path
         yield "config", {
-            "scale": self.scale_source,
+            "scale": "builtin" if scale_path is None else str(scale_path),
             "thresholds": [self.config.thresholds.t1, self.config.thresholds.t2],
             "partition_mode": self.config.partition_mode,
             "cffs_mode": self.config.cffs_mode,
         }
         yield "input", {
             "source": self.input_source,
-            "bundled": self.used_bundled_input,
+            "bundled": self.comparison is not None,
             "factor_count": len(self.profiles),
         }
         yield "aggregated", (
@@ -185,7 +193,7 @@ class Report(namedtuple("Report", (
         yield "rankings", {kind: _ranking_rows(ranking, values[kind])
                            for kind, ranking in rankings.items()}
         del values
-        yield "map", ipamap.build_map(self.profiles, self.config.thresholds, lazy=True)
+        yield "map", ipamap.build_map(self.profiles, self.config.thresholds)
         yield "psychometrics", self.psychometrics if self.psychometrics else {"provided": False}
         yield "notes", list(self.notes)
 
@@ -310,12 +318,13 @@ def _score_functions(cffs_mode: str) -> dict:
             scoring.FAILURE: functools.partial(scoring.failure_score, mode=cffs_mode)}
 
 
-def _reference_comparison(profiles, candidates, rankings, cffs_mode: str) -> dict:
+def _reference_comparison(profiles, cffs_mode: str) -> dict:
     """How far a run on the bundled dataset is from its reference tables.
 
     Per kind (``success``, ``failure``): the largest endpoint deviation of the
-    score tuples, and the computed candidates and ranking order beside the
-    reference ones. ``unlisted`` names the factors in neither reference list.
+    score tuples, and the reference candidates and ranking order, which
+    ``Report.notes`` sets beside the computed ones. ``unlisted`` names the
+    factors in neither reference list.
     """
     scores, orders = fixtures.reference_scores(), fixtures.reference_rankings()
     comparison = {}
@@ -327,9 +336,7 @@ def _reference_comparison(profiles, candidates, rankings, cffs_mode: str) -> dic
                 )
                 for p in profiles if p.factor.id in scores[kind]
             ),
-            "candidates": [p.factor.id for p in candidates[kind]],
             "reference_candidates": sorted(scores[kind], key=factor_sort_key),
-            "order": [rf.factor.id for rf in rankings[kind]],
             "reference_order": [fid for fid, _ in orders[kind]],
         }
     listed = scores[scoring.SUCCESS].keys() | scores[scoring.FAILURE].keys()
@@ -356,12 +363,7 @@ def run_pipeline(
     if ratings_path is not None and aggregated_path is not None:
         raise ValueError("give either a ratings file or an aggregated file, not both")
 
-    if config.scale_path:
-        scale = load_scale(config.scale_path)
-        scale_source = str(config.scale_path)
-    else:
-        scale = default_scale()
-        scale_source = "builtin"
+    scale = default_scale() if config.scale_path is None else load_scale(config.scale_path)
 
     used_bundled = False
     if ratings_path is not None:
@@ -408,19 +410,15 @@ def run_pipeline(
         except scoring.NonFiniteScoreError as exc:  # importance support starting just above 0
             raise InputFileError(input_source, str(exc)) from exc
 
-    comparison = (_reference_comparison(placed, candidates, rankings, config.cffs_mode)
-                  if used_bundled else None)
     return Report(
         config=config,
-        scale_source=scale_source,
         input_source=input_source,
-        used_bundled_input=used_bundled,
         profiles=placed,
         candidates=candidates,
         balanced=balanced,
         rankings=rankings,
         psychometrics=psychometrics,
-        comparison=comparison,
+        comparison=_reference_comparison(placed, config.cffs_mode) if used_bundled else None,
     )
 
 

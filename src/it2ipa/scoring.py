@@ -54,14 +54,12 @@ of the sum of the eight endpoint deviations, plus the four heights.
 """
 
 
-class RankedFactor(namedtuple("RankedFactor", "factor score breakdown")):
-    """A factor with its fuzzy score and rank-value breakdown."""
+class RankedFactor(namedtuple("RankedFactor", "score breakdown")):
+    """A factor's fuzzy score and its rank-value breakdown."""
 
     __slots__ = ()
-
-    @property
-    def rank(self) -> float:
-        return self.breakdown.rank
+    factor = property(lambda self: self.score.factor)
+    rank = property(lambda self: self.breakdown.rank)
 
 
 def success_score(factor: Factor, w: IT2TrapFN, r: IT2TrapFN) -> FuzzyScore:
@@ -133,7 +131,7 @@ def rank_order(scores: list[FuzzyScore]) -> list[RankedFactor]:
     kinds = {score.kind for score in scores}
     if len(kinds) > 1:
         raise MixedKindsError(f"cannot rank mixed kinds together: {sorted(kinds)}")
-    ranked = [RankedFactor(s.factor, s, rank_value(s.value)) for s in scores]
+    ranked = [RankedFactor(s, rank_value(s.value)) for s in scores]
     for rf in ranked:
         if not math.isfinite(rf.rank):
             kind = f"{rf.score.mode} {rf.score.kind}" if rf.score.mode else rf.score.kind

@@ -1,6 +1,5 @@
 """Map banding, zone assignment, partitioning, and rendering."""
 
-import json
 import re
 from collections.abc import Iterator
 
@@ -23,6 +22,7 @@ from it2ipa import (
     render_svg,
     render_text,
 )
+from it2ipa.report import json_chunks
 
 THIRDS = MapThresholds()
 
@@ -158,7 +158,7 @@ class TestPartition:
 # the map documents a report writes, from placed profiles
 RENDERERS = {
     "text": lambda profiles: render_text(profiles, THIRDS),
-    "structured": lambda profiles: json.dumps(build_map(profiles, THIRDS)),
+    "structured": lambda profiles: "".join(json_chunks(build_map(profiles, THIRDS).items())),
     "svg": lambda profiles: render_svg(profiles, THIRDS),
 }
 
@@ -169,7 +169,7 @@ class TestRenderMap:
             assert render([])  # valid empty grid document
         structured = build_map([], THIRDS)
         assert len(structured["regions"]) == 9
-        assert all(region["factors"] == [] for region in structured["regions"])
+        assert all(list(region["factors"]) == [] for region in structured["regions"])
 
     @pytest.mark.parametrize("fmt", list(RENDERERS))
     def test_every_factor_exactly_once(self, placed_profiles, fmt):
@@ -184,21 +184,26 @@ class TestRenderMap:
         assert first == second
 
     def test_structured_regions_partition_profiles(self, placed_profiles):
-        structured = build_map(placed_profiles, THIRDS)
-        counts = [len(region["factors"]) for region in structured["regions"]]
-        assert sum(counts) == len(placed_profiles)
+        cells = [list(region["factors"]) for region in build_map(placed_profiles, THIRDS)["regions"]]
+        assert sum(map(len, cells)) == len(placed_profiles)
         # each cell lists its factors in input order
         backwards = build_map(placed_profiles[::-1], THIRDS)
-        for cell, reversed_cell in zip(structured["regions"], backwards["regions"]):
-            assert reversed_cell["factors"] == cell["factors"][::-1]
+        for cell, reversed_cell in zip(cells, backwards["regions"]):
+            assert list(reversed_cell["factors"]) == cell[::-1]
 
     def test_lazy_map_builds_the_same_entries_when_iterated(self, placed_profiles):
-        eager = build_map(placed_profiles, THIRDS)
-        lazy = build_map(placed_profiles, THIRDS, lazy=True)
+        lazy = build_map(placed_profiles, THIRDS)
         assert all(isinstance(region["factors"], Iterator) for region in lazy["regions"])
+        expected = [
+            {**cell._asdict(), "factors": [
+                {"id": p.factor.id, "importance": p.e_w, "performance": p.e_r}
+                for p in placed_profiles if p.region == cell
+            ]}
+            for cell in ipamap.REGIONS
+        ]
         assert [{**region, "factors": list(region["factors"])} for region in lazy["regions"]] == \
-            eager["regions"]
-        assert lazy["thresholds"] == eager["thresholds"]
+            expected
+        assert lazy["thresholds"] == [THIRDS.t1, THIRDS.t2]
 
     def test_svg_is_self_contained(self, placed_profiles):
         svg = render_svg(placed_profiles, THIRDS)

@@ -54,7 +54,9 @@ def chunks_text(doc: dict) -> str:
 class TestRunPipeline:
     def test_bundled_dataset_by_default(self):
         report = run_default()
-        assert report.used_bundled_input
+        assert report.to_structured()["input"] == {
+            "source": str(fixtures.aggregated_path()), "bundled": True, "factor_count": 18,
+        }
         assert len(report.profiles) == 18
         assert report.input_source == str(fixtures.aggregated_path())
 
@@ -109,7 +111,7 @@ class TestRunPipeline:
         path.write_text(RATINGS_OK)
         report = run_pipeline(PipelineConfig(), ratings_path=path)
         assert [p.factor.id for p in report.profiles] == ["f1", "f2"]
-        assert not report.used_bundled_input
+        assert report.to_structured()["input"]["bundled"] is False
         # f1: importance (High+Medium)/2 > performance Low: a weakness in region mode
         assert [p.factor.id for p in report.candidates["failure"]] == ["f1"]
         assert [p.factor.id for p in report.candidates["success"]] == ["f2"]
@@ -123,12 +125,27 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig(**{field: "majority"})
 
+    @pytest.mark.parametrize("build", [
+        lambda thresholds: PipelineConfig(thresholds=thresholds),
+        lambda thresholds: PipelineConfig()._replace(thresholds=thresholds),
+    ], ids=["constructor", "replace"])
+    def test_thresholds_that_are_not_map_thresholds_are_refused(self, build):
+        # refused when the config is built, before run_pipeline reads thresholds.t1
+        message = "thresholds must be a MapThresholds, got (0.2, 0.5)"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            build((0.2, 0.5))
+
     def test_reference_comparison_numbers(self):
-        comparison = run_default().comparison
+        report = run_default()
+        comparison = report.comparison
         assert comparison["success"]["deviation"] <= 5e-3
         assert comparison["failure"]["deviation"] <= 5e-3
         assert len(comparison["success"]["reference_candidates"]) == 8
-        assert comparison["failure"]["candidates"] == ["x_4", "x_6", "x_8", "x_9", "x_13", "x_14"]
+        # only the reference side: the computed candidates and order are read from the report
+        for kind in ("success", "failure"):
+            assert set(comparison[kind]) == {"deviation", "reference_candidates", "reference_order"}
+        assert [p.factor.id for p in report.candidates["failure"]] == \
+            ["x_4", "x_6", "x_8", "x_9", "x_13", "x_14"]
         assert comparison["unlisted"] == ["x_4", "x_13", "x_17"]
 
     def test_reversed_input_gives_the_same_tables(self, tmp_path):
@@ -194,7 +211,8 @@ class TestRunPipeline:
         report = run_pipeline(
             PipelineConfig(scale_path=str(scale_path)), ratings_path=ratings
         )
-        assert report.scale_source == str(scale_path)
+        assert report.to_structured()["config"]["scale"] == str(scale_path)
+        assert run_default().to_structured()["config"]["scale"] == "builtin"
         assert report.profiles[0].e_w > report.profiles[0].e_r
 
 
@@ -575,6 +593,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "--format needs --out" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--ratings", "--aggregated", "--psychometrics", "--scale", "--out"])
+    def test_an_empty_path_is_a_usage_error(self, flag, capsys):
+        # '' names no file: it is not the built-in scale, nor stdout, nor the directory '.'
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, ""])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag}: a path must not be empty" in captured.err
+
     def test_zero_importance_support_in_comparison_mode_is_located(self, tmp_path, capsys):
         # Low/Low importance has support starting at 0, the as_computed divisor
         path = tmp_path / "ratings.csv"
@@ -884,6 +911,9 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
         assert "== Map ==" in result.stdout
+        orders = dict(re.findall(r"^  (\w+): computed order (\[.*?\]) \|", result.stdout, re.M))
+        assert orders == {kind: str([rf.factor.id for rf in ranking])
+                          for kind, ranking in run_default().rankings.items()}
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "aggregated.csv", "defuzzified.csv", "map.svg", "map.txt", "notes.txt",
             "ranking_failure.csv", "ranking_success.csv", "report.json",
