@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import math
 import os
 from collections import namedtuple
@@ -24,7 +25,6 @@ from .survey import (
     cronbach_alpha,
     cvr,
     DegenerateDataError,
-    EmptyMatrixError,
     InvalidCountsError,
     aggregate,
     factor_sort_key,
@@ -198,8 +198,8 @@ class Report(namedtuple("Report", (
         yield "notes", list(self.notes)
 
     def to_structured(self) -> dict:
-        """The structured report as plain dicts, lists and scalars."""
-        return {key: _listed(value) for key, value in self.sections()}
+        """The structured report as ``json.loads`` reads the text that ``json_chunks`` writes."""
+        return json.loads("".join(json_chunks(self.sections())))
 
 
 def _fuzzy_texts(profiles, decimals: int | None = None):
@@ -252,13 +252,6 @@ def _ranking_rows(ranking, values):
         if rf.score.mode is not None:
             row["mode"] = rf.score.mode
         yield row
-
-
-def _listed(value):
-    """``value`` with each iterator in it, in dicts and lists at any depth, made a list."""
-    if isinstance(value, dict):
-        return {key: _listed(v) for key, v in value.items()}
-    return list(map(_listed, value)) if isinstance(value, (list, Iterator)) else value
 
 
 def _summarize_psychometrics(data: Psychometrics, source: str) -> dict:
@@ -371,7 +364,7 @@ def run_pipeline(
         matrix = parse_ratings(ratings_path)
         try:
             profiles = aggregate(matrix, scale)
-        except (UnknownTermError, EmptyMatrixError) as exc:
+        except UnknownTermError as exc:
             raise InputFileError(input_source, exc.args[0]) from exc
     else:
         if aggregated_path is None:
@@ -625,8 +618,11 @@ def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
     """Write the report to ``out_dir`` in each of ``formats``.
 
     Files are written atomically (temp file + rename). Returns the written
-    paths in a fixed order.
+    paths in a fixed order. An empty ``out_dir`` names no directory, not the
+    working one, and is refused as an unknown format is, before any file is written.
     """
+    if out_dir == "":
+        raise ValueError("out_dir must not be empty")
     out = Path(out_dir)
     unknown = [f for f in formats if f not in REPORT_FORMATS]
     if unknown:

@@ -128,24 +128,23 @@ def load_scale(path: str | Path) -> LinguisticScale:
     Each term carries a ``label`` and a ``value`` in the canonical textual
     form, both JSON strings. The loaded scale must pass ``validate_scale``.
     """
-    path = Path(path)
     doc = read_json(path)
     terms_doc = doc.get("terms") if isinstance(doc, dict) else None
     if not isinstance(terms_doc, list) or not terms_doc:
-        raise InputFileError(str(path), "scale file must contain a non-empty 'terms' list")
+        raise InputFileError(path, "scale file must contain a non-empty 'terms' list")
 
     terms = []
     for i, entry in enumerate(terms_doc, start=1):
         if not isinstance(entry, dict) or {type(entry.get("label")), type(entry.get("value"))} != {str}:
-            raise InputFileError(str(path), f"term #{i} must have a string 'label' and 'value'")
+            raise InputFileError(path, f"term #{i} must have a string 'label' and 'value'")
         try:
             value = IT2TrapFN.from_text(entry["value"])
         except ValueError as exc:
-            raise InputFileError(str(path), f"term #{i} ({entry['label']!r}): {exc}") from exc
+            raise InputFileError(path, f"term #{i} ({entry['label']!r}): {exc}") from exc
         terms.append((entry["label"], value))
 
     scale = LinguisticScale(tuple(terms))
     problems = validate_scale(scale)
     if problems:
-        raise InputFileError(str(path), "invalid scale: " + "; ".join(problems))
+        raise InputFileError(path, "invalid scale: " + "; ".join(problems))
     return scale

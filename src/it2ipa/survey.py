@@ -199,7 +199,7 @@ def cronbach_alpha(scores) -> float:
 # ---------------------------------------------------------------------------
 # Input files
 
-def data_rows(path: Path):
+def data_rows(path: str | Path):
     """Yield each stripped CSV record with the line it starts on.
 
     Comments, blank records and a UTF-8 BOM are skipped. Records are read as
@@ -216,16 +216,16 @@ def data_rows(path: Path):
                     yield lineno, row
                 lineno = reader.line_num + 1
     except OSError as exc:
-        raise InputFileError(str(path), f"cannot read file: {exc}") from exc
+        raise InputFileError(path, f"cannot read file: {exc}") from exc
     except UnicodeDecodeError as exc:
         read_text(path)  # decodes the whole file, so the error names the line of the bad byte
         # read_text found no bad byte: the file changed between the two reads
-        raise InputFileError(str(path), f"not UTF-8 text: {exc}") from exc
+        raise InputFileError(path, f"not UTF-8 text: {exc}") from exc
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise InputFileError(str(path), f"unreadable CSV record: {exc}", row=lineno) from exc
+        raise InputFileError(path, f"unreadable CSV record: {exc}", row=lineno) from exc
 
 
-def _factor_table(path: Path, kind: str, columns: tuple[str, ...]):
+def _factor_table(path: str | Path, kind: str, columns: tuple[str, ...]):
     """Read a CSV table of factors, headed ``factor_id[,name][,dimension]`` and then ``columns``.
 
     Yields ``(line, the header's columns after columns)`` first, then ``(line,
@@ -235,10 +235,10 @@ def _factor_table(path: Path, kind: str, columns: tuple[str, ...]):
     with closing(data_rows(path)) as rows:
         header_line, header = next(rows, (None, None))
         if header is None:
-            raise InputFileError(str(path), f"empty {kind} file: no header row")
+            raise InputFileError(path, f"empty {kind} file: no header row")
         lowered = [h.lower() for h in header]
         if lowered[0] != "factor_id":
-            raise InputFileError(str(path), "header must start with 'factor_id'", row=header_line)
+            raise InputFileError(path, "header must start with 'factor_id'", row=header_line)
         pos = 1
         name_at = dimension_at = 0  # 0: the column is absent
         if lowered[pos:pos + 1] == ["name"]:
@@ -249,7 +249,7 @@ def _factor_table(path: Path, kind: str, columns: tuple[str, ...]):
         for required in columns:
             if lowered[pos:pos + 1] != [required]:
                 raise InputFileError(
-                    str(path), f"expected column {required!r} at position {pos + 1}", row=header_line
+                    path, f"expected column {required!r} at position {pos + 1}", row=header_line
                 )
             pos += 1
         yield header_line, header[pos:]
@@ -258,17 +258,17 @@ def _factor_table(path: Path, kind: str, columns: tuple[str, ...]):
         for lineno, row in rows:
             if len(row) != len(header):
                 raise InputFileError(
-                    str(path), f"expected {len(header)} cells, found {len(row)}", row=lineno
+                    path, f"expected {len(header)} cells, found {len(row)}", row=lineno
                 )
             fid = row[0]
             if not fid:
-                raise InputFileError(str(path), "empty factor_id cell", row=lineno)
+                raise InputFileError(path, "empty factor_id cell", row=lineno)
             name = row[name_at] if name_at else fid
             dimension = row[dimension_at] if dimension_at else "general"
             yield lineno, Factor(fid, name or fid, dimension or "general"), row[first_cell:]
             found = True
     if not found:
-        raise InputFileError(str(path), f"empty {kind} file: no data rows")
+        raise InputFileError(path, f"empty {kind} file: no data rows")
 
 
 def parse_ratings(path: str | Path) -> RatingMatrix:
@@ -279,11 +279,10 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
     appear with both facets and every cell must be filled. Records are read
     as a stream, and equal label texts share one ``str`` in the matrix.
     """
-    path = Path(path)
     with closing(_factor_table(path, "ratings", ("facet",))) as table:
         header_line, experts = next(table)
         if not experts:
-            raise InputFileError(str(path), "no expert columns after 'facet'", row=header_line)
+            raise InputFileError(path, "no expert columns after 'facet'", row=header_line)
 
         labels: dict[str, str] = {}  # one string per distinct label text
         factors: list[Factor] = []
@@ -294,21 +293,21 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
             facet = facet_text.lower()
             if facet not in FACETS:
                 raise InputFileError(
-                    str(path), f"facet must be one of {FACETS}, got {facet_text!r}", row=lineno
+                    path, f"facet must be one of {FACETS}, got {facet_text!r}", row=lineno
                 )
             if not all(cells):
-                raise InputFileError(str(path), f"factor {fid}: empty {facet} cell", row=lineno)
+                raise InputFileError(path, f"factor {fid}: empty {facet} cell", row=lineno)
             if fid not in by_id:
                 factors.append(factor)
                 by_id[fid] = {}
             if facet in by_id[fid]:
-                raise InputFileError(str(path), f"duplicate {facet} row for factor {fid}", row=lineno)
+                raise InputFileError(path, f"duplicate {facet} row for factor {fid}", row=lineno)
             by_id[fid][facet] = list(map(labels.setdefault, cells, cells))
 
     for factor in factors:
         missing = [f for f in FACETS if f not in by_id[factor.id]]
         if missing:
-            raise InputFileError(str(path), f"factor {factor.id}: missing {missing[0]} row")
+            raise InputFileError(path, f"factor {factor.id}: missing {missing[0]} row")
 
     return RatingMatrix(
         factors=factors,
@@ -327,13 +326,10 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
     (stripped) cell text is parsed and checked once per call, and its cells
     share one ``IT2TrapFN``; a bad text is reported on the first row it is on.
     """
-    path = Path(path)
     with closing(_factor_table(path, "aggregated", FACETS)) as table:
         header_line, extra = next(table)
         if extra:
-            raise InputFileError(
-                str(path), f"unexpected trailing columns: {extra}", row=header_line
-            )
+            raise InputFileError(path, f"unexpected trailing columns: {extra}", row=header_line)
 
         profiles = []
         seen: set[str] = set()
@@ -341,7 +337,7 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
         for lineno, factor, cells in table:
             fid = factor.id
             if fid in seen:
-                raise InputFileError(str(path), f"duplicate factor id {fid}", row=lineno)
+                raise InputFileError(path, f"duplicate factor id {fid}", row=lineno)
             seen.add(fid)
             values = []
             for facet, text in zip(FACETS, cells):
@@ -351,12 +347,12 @@ def parse_aggregated(path: str | Path) -> list[FactorProfile]:
                         value = IT2TrapFN.from_text(text)
                     except ValueError as exc:
                         raise InputFileError(
-                            str(path), f"factor {fid} {facet}: {exc}", row=lineno
+                            path, f"factor {fid} {facet}: {exc}", row=lineno
                         ) from exc
                     problems = value_problems(value)
                     if problems:
                         raise InputFileError(
-                            str(path), f"factor {fid} {facet}: {'; '.join(problems)}", row=lineno
+                            path, f"factor {fid} {facet}: {'; '.join(problems)}", row=lineno
                         )
                     parsed[text] = value
                 values.append(value)
@@ -372,10 +368,10 @@ Psychometrics.__doc__ = (
 )
 
 
-def _section(path: Path, doc: dict, name: str) -> dict:
+def _section(path: str | Path, doc: dict, name: str) -> dict:
     section = doc.get(name, {})
     if not isinstance(section, dict):
-        raise InputFileError(str(path), f"{name} must be a JSON object")
+        raise InputFileError(path, f"{name} must be a JSON object")
     return section
 
 
@@ -406,16 +402,16 @@ def _count(value) -> int:
     return int(value)
 
 
-def _threshold(path: Path, section: dict, name: str, default: float) -> float:
+def _threshold(path: str | Path, section: dict, name: str, default: float) -> float:
     threshold = section.get("threshold", default)
     try:
         _check_numbers([[threshold]], repr(threshold))
     except (TypeError, ValueError) as exc:
-        raise InputFileError(str(path), f"{name} threshold must be a finite number: {exc}") from exc
+        raise InputFileError(path, f"{name} threshold must be a finite number: {exc}") from exc
     return float(threshold)
 
 
-def _check_name(path: Path, kind: str, name: str) -> None:
+def _check_name(path: str | Path, kind: str, name: str) -> None:
     """Refuse a name that holds a lone surrogate, from a JSON escape such as ``\\ud800``.
 
     UTF-8 cannot encode it, so it would fail the write of ``psychometrics.csv``.
@@ -424,16 +420,15 @@ def _check_name(path: Path, kind: str, name: str) -> None:
         name.encode("utf-8")
     except UnicodeEncodeError:
         raise InputFileError(
-            str(path), f"{kind} {name!r} holds a lone surrogate, which UTF-8 cannot encode"
+            path, f"{kind} {name!r} holds a lone surrogate, which UTF-8 cannot encode"
         ) from None
 
 
 def load_psychometrics(path: str | Path) -> Psychometrics:
     """Read the psychometrics JSON document (both sections optional)."""
-    path = Path(path)
     doc = read_json(path)
     if not isinstance(doc, dict):
-        raise InputFileError(str(path), "document must be a JSON object")
+        raise InputFileError(path, "document must be a JSON object")
 
     panel_size, essential_counts, cvr_threshold = 0, {}, 0.59
     content = _section(path, doc, "content_validity")
@@ -450,7 +445,7 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
                 essential_counts = {k: _count(v) for k, v in counts.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(
-                str(path), f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
+                path, f"content_validity needs 'panel_size' and 'essential_counts': {exc}"
             ) from exc
         for component in essential_counts:
             _check_name(path, "component id", component)
@@ -461,7 +456,7 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
     if reliability:
         grids = reliability.get("dimensions")
         if not isinstance(grids, dict):
-            raise InputFileError(str(path), "reliability needs a 'dimensions' object")
+            raise InputFileError(path, "reliability needs a 'dimensions' object")
         for dim, grid in grids.items():
             _check_name(path, "dimension", dim)
             # checked and kept as decoded: ``cronbach_alpha`` counts an int grid's values
@@ -471,7 +466,7 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
                 _check_numbers(grid, "a score")
             except (TypeError, ValueError) as exc:
                 raise InputFileError(
-                    str(path), f"dimension {dim!r}: reliability grid must be finite numbers: {exc}"
+                    path, f"dimension {dim!r}: reliability grid must be finite numbers: {exc}"
                 ) from exc
             dimension_scores[dim] = grid
         alpha_threshold = _threshold(path, reliability, "reliability", alpha_threshold)

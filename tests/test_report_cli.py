@@ -166,6 +166,18 @@ class TestRunPipeline:
             run_pipeline(PipelineConfig(), ratings_path=path)
         assert excinfo.value.file == str(path)
 
+    @pytest.mark.parametrize("name", ["aggregated_path", "ratings_path", "psychometrics_path",
+                                      "scale_path"])
+    def test_an_empty_path_names_no_file(self, name):
+        # '' is not the working directory: the error names the path as given
+        if name == "scale_path":
+            config, paths = PipelineConfig(scale_path=""), {}
+        else:
+            config, paths = PipelineConfig(), {name: ""}
+        with pytest.raises(InputFileError, match="No such file or directory: ''") as excinfo:
+            run_pipeline(config, **paths)
+        assert excinfo.value.file == "" and excinfo.value.cause.startswith("cannot read file: ")
+
     def test_both_inputs_rejected(self, tmp_path):
         path = tmp_path / "ratings.csv"
         path.write_text(RATINGS_OK)
@@ -361,6 +373,13 @@ class TestEmit:
         assert (tmp_path / "out" / "aggregated.csv").read_text().splitlines()[1:] == [
             f"f1,f1,general,{rounded},{rounded}", f"f2,f2,general,{rounded},{rounded}"
         ]
+
+    def test_an_empty_out_dir_is_refused(self, tmp_path, monkeypatch):
+        # '' is not the working directory
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="out_dir must not be empty"):
+            emit(run_default(), "", REPORT_FORMATS)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_structured_emit_leaves_no_file(self, tmp_path):
         report = run_default()._replace(psychometrics={"alpha": float("nan")})
@@ -801,6 +820,20 @@ class TestCli:
         diagnostic = json.loads(err.removeprefix("error: "))
         assert diagnostic["file"] == str(path)
         assert diagnostic["cause"].startswith("cannot read file: ")
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--ratings", RATINGS_OK.replace("f2,Second,Culture,performance,High,Very High\n", "")),
+        ("--aggregated", "factor_id,importance,performance\nf1,broken,also broken\n"),
+        ("--scale", '{"terms": []}'),
+        ("--psychometrics", "[]"),
+        ("--ratings", RATINGS_OK.replace("Very High", "Very Hgh")),  # located by run_pipeline
+    ], ids=["ratings", "aggregated", "scale", "psychometrics", "unknown-term"])
+    def test_a_diagnostic_names_the_file_as_given(self, tmp_path, monkeypatch, capsys, flag, text):
+        monkeypatch.chdir(tmp_path)
+        Path("input").write_text(text)
+        assert main([flag, "./input"]) == 2
+        diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
+        assert diagnostic["file"] == "./input"
 
     @pytest.mark.parametrize("flag", ["--psychometrics", "--scale"])
     @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
