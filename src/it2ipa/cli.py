@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             written = emit(result, args.out, args.formats or [report_mod.STRUCTURED])
         except report_mod.IoFailureError as exc:
-            return _diagnostic(str(exc.path), None, str(exc))
+            return _diagnostic(exc.path, None, str(exc))
         lines = [f"{path}\n" for path in written]
     else:
         lines = report_mod.json_chunks(result.sections())

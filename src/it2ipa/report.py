@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import os
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import islice, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -42,11 +40,36 @@ SCHEMA = "it2ipa-report/1"
 DISPLAY_DECIMALS = 3
 
 
+class Table:
+    """A factor table of the structured report, which ``json_chunks`` writes as a list of objects.
+
+    ``fields`` maps each key of a row object to a ``%`` format: ``"%s"`` for a
+    string given as its JSON text, ``"%d"`` for an int, ``"%r"`` for a float,
+    or a dict of fields for a nested object. ``rows`` yields one flat tuple per
+    row, its values in the order of the formats.
+    """
+
+    __slots__ = ("fields", "rows")
+
+    def __init__(self, fields: dict, rows):
+        self.fields, self.rows = fields, rows
+
+
+_str = encode_basestring_ascii  # a string's JSON text, for a table's "%s" field
+_AGGREGATED = dict.fromkeys(("factor", "name", "dimension", "importance", "performance"), "%s")
+_DEFUZZIFIED = {"factor": "%s", "importance": "%r", "performance": "%r",
+                **dict.fromkeys(ipamap.MapRegion._fields, "%s")}
+_SCORE = {"factor": "%s", "value": "%s"}
+_RANKING = {"position": "%d", "factor": "%s", "rank": "%r", "value": "%s",
+            "breakdown": dict.fromkeys(scoring.RankBreakdown._fields, "%r")}
+_COMPONENT = {"id": "%s", "essential": "%d", "cvr": "%r", "passes": "%s"}
+
+
 class IoFailureError(OSError):
     """A report file could not be written."""
 
-    def __init__(self, path: Path, cause: Exception):
-        self.path = Path(path)
+    def __init__(self, path: str, cause: Exception):
+        self.path = path
         super().__init__(f"cannot write {path}: {cause}")
 
 
@@ -140,11 +163,12 @@ class Report(namedtuple("Report", (
     def sections(self):
         """Each top-level ``(key, value)`` of the structured report, in schema order.
 
-        A section is built when it is asked for, and the factor tables
+        A section is built when it is asked for. The factor tables
         (``aggregated``, ``defuzzified``, each kind under ``scores`` and
-        ``rankings``, and each map cell's ``factors``) are iterators that build
-        one row per step, so a writer that consumes each row before it asks for
-        the next holds one row at a time.
+        ``rankings``, and the CVR ``components``) are ``Table``s and each map
+        cell's ``factors`` an iterator, each building one row per step, so a
+        writer that consumes each row before it asks for the next holds one row
+        at a time.
         """
         yield "schema", SCHEMA
         scale_path = self.config.scale_path
@@ -159,27 +183,14 @@ class Report(namedtuple("Report", (
             "bundled": self.comparison is not None,
             "factor_count": len(self.profiles),
         }
-        yield "aggregated", (
-            {
-                "factor": p.factor.id,
-                "name": p.factor.name,
-                "dimension": p.factor.dimension,
-                "importance": importance,
-                "performance": performance,
-            }
+        yield "aggregated", Table(_AGGREGATED, (
+            (_str(p.factor.id), _str(p.factor.name), _str(p.factor.dimension),
+             _str(importance), _str(performance))
             for p, importance, performance in _fuzzy_texts(self.profiles)
-        )
-        yield "defuzzified", (
-            {
-                "factor": p.factor.id,
-                "importance": p.e_w,
-                "performance": p.e_r,
-                "importance_band": p.region.importance_band,
-                "performance_band": p.region.performance_band,
-                "zone": p.region.zone,
-            }
-            for p in self.profiles
-        )
+        ))
+        yield "defuzzified", Table(_DEFUZZIFIED, (
+            (_str(p.factor.id), p.e_w, p.e_r, *map(_str, p.region)) for p in self.profiles
+        ))
         yield "partition", {
             "mode": self.config.partition_mode,
             "failure_candidates": [p.factor.id for p in self.candidates[scoring.FAILURE]],
@@ -188,13 +199,18 @@ class Report(namedtuple("Report", (
         }
         rankings = self.rankings
         # each score's text, formatted once for both tables and freed after them
-        values = {kind: [rf.score.value.to_text() for rf in ranking] for kind, ranking in rankings.items()}
-        yield "scores", {kind: _score_rows(ranking, values[kind]) for kind, ranking in rankings.items()}
-        yield "rankings", {kind: _ranking_rows(ranking, values[kind])
-                           for kind, ranking in rankings.items()}
+        values = {kind: [_str(rf.score.value.to_text()) for rf in ranking]
+                  for kind, ranking in rankings.items()}
+        yield "scores", {kind: _scores_table(kind, _SCORE, ranking, (
+            (_str(rf.factor.id), value) for rf, value in zip(ranking, values[kind])
+        )) for kind, ranking in rankings.items()}
+        yield "rankings", {kind: _scores_table(kind, _RANKING, ranking, (
+            (position, _str(rf.factor.id), rf.rank, value, *rf.breakdown)
+            for position, (rf, value) in enumerate(zip(ranking, values[kind]), start=1)
+        )) for kind, ranking in rankings.items()}
         del values
         yield "map", ipamap.build_map(self.profiles, self.config.thresholds)
-        yield "psychometrics", self.psychometrics if self.psychometrics else {"provided": False}
+        yield "psychometrics", _psychometrics_section(self.psychometrics)
         yield "notes", list(self.notes)
 
     def to_structured(self) -> dict:
@@ -232,26 +248,29 @@ def _fuzzy_texts(profiles, decimals: int | None = None):
         yield p, text(p.w_fuzzy), text(p.r_fuzzy)
 
 
-def _score_rows(ranking, values):
-    for rf, value in zip(ranking, values):
-        row = {"factor": rf.factor.id, "value": value}
-        if rf.score.mode is not None:
-            row["mode"] = rf.score.mode
-        yield row
+def _scores_table(kind: str, fields: dict, ranking, rows) -> Table:
+    """A table of ``kind``'s scores, ``rows`` in ``ranking``'s order.
+
+    A failure score's row ends with its mode, which a success score does not have.
+    """
+    if kind == scoring.SUCCESS:
+        return Table(fields, rows)
+    return Table({**fields, "mode": "%s"},
+                 ((*row, _str(rf.score.mode)) for row, rf in zip(rows, ranking)))
 
 
-def _ranking_rows(ranking, values):
-    for position, (rf, value) in enumerate(zip(ranking, values), start=1):
-        row = {
-            "position": position,
-            "factor": rf.factor.id,
-            "rank": rf.rank,
-            "value": value,
-            "breakdown": rf.breakdown._asdict(),
-        }
-        if rf.score.mode is not None:
-            row["mode"] = rf.score.mode
-        yield row
+def _psychometrics_section(summary: dict | None) -> dict:
+    """The ``psychometrics`` section: ``summary``, its CVR components as a ``Table``."""
+    if not summary:
+        return {"provided": False}
+    content = summary.get("content_validity")
+    if not content:
+        return summary
+    components = Table(_COMPONENT, (
+        (_str(c["id"]), c["essential"], c["cvr"], _BOOL[c["passes"]])
+        for c in content["components"]
+    ))
+    return {**summary, "content_validity": {**content, "components": components}}
 
 
 def _summarize_psychometrics(data: Psychometrics, source: str) -> dict:
@@ -418,85 +437,88 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 # Emission
 
-def _write_atomic(path: Path, chunks) -> None:
+def _write_atomic(path: str, chunks) -> None:
     """Write the text ``chunks`` as UTF-8, whatever the locale, through a new temp file and a rename.
 
     The umask sets the file mode.
     """
-    tmp_name = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    directory, name = os.path.split(path)
+    tmp_name = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
         try:
             with open(tmp_name, "x", encoding="utf-8", newline="") as handle:
                 handle.writelines(chunks)
             os.replace(tmp_name, path)
         except BaseException:
-            tmp_name.unlink(missing_ok=True)
+            Path(tmp_name).unlink(missing_ok=True)
             raise
     except OSError as exc:
         raise IoFailureError(path, exc) from exc
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _field(text: str) -> str:
+    """``text`` as one delimited field: quoted, its quotes doubled, iff it holds ``,`` ``"`` CR or LF."""
+    if '"' in text or "," in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _crisp(value: float) -> str:
-    return f"{value:.{DISPLAY_DECIMALS}f}"
+def _delimited(fields: dict, rows) -> str:
+    """A delimited file: the header of ``fields``, then one line per row of their ``%`` formats.
+
+    A row gives its texts through ``_field``, but for the fixed words this module writes
+    (bands, zones, kinds, modes, metric names), which need no quotes.
+    """
+    line = ",".join(fields.values()) + "\n"
+    return ",".join(fields) + "\n" + "".join(map(line.__mod__, rows))
 
 
 def _delimited_files(report: Report):
     """Each delimited file as ``(name, text)``, built when it is asked for."""
     nd = DISPLAY_DECIMALS
-    yield "aggregated.csv", _csv_text(
-        ["factor_id", "name", "dimension", "importance", "performance"],
-        ([p.factor.id, p.factor.name, p.factor.dimension, importance, performance]
+    yield "aggregated.csv", _delimited(
+        dict.fromkeys(("factor_id", "name", "dimension", "importance", "performance"), "%s"),
+        ((_field(p.factor.id), _field(p.factor.name), _field(p.factor.dimension),
+          _field(importance), _field(performance))
          for p, importance, performance in _fuzzy_texts(report.profiles, nd)),
     )
-    yield "defuzzified.csv", _csv_text(
-        ["factor_id", "name", "dimension", "importance", "performance",
-         "importance_band", "performance_band", "zone"],
-        ([p.factor.id, p.factor.name, p.factor.dimension,
-          _crisp(p.e_w), _crisp(p.e_r),
-          p.region.importance_band, p.region.performance_band, p.region.zone]
+    yield "defuzzified.csv", _delimited(
+        {"factor_id": "%s", "name": "%s", "dimension": "%s", "importance": f"%.{nd}f",
+         "performance": f"%.{nd}f", **dict.fromkeys(ipamap.MapRegion._fields, "%s")},
+        ((_field(p.factor.id), _field(p.factor.name), _field(p.factor.dimension), p.e_w, p.e_r,
+          *p.region)
          for p in report.profiles),
     )
     yield "map.txt", ipamap.render_text(report.profiles, report.config.thresholds)
     yield "notes.txt", "".join(f"{i}. {note}\n" for i, note in enumerate(report.notes, start=1))
     for kind, ranking in report.rankings.items():
         ranked = {rf.factor.id: rf for rf in ranking}
-        yield f"scores_{kind}.csv", _csv_text(
-            ["factor_id", "kind", "mode", "value"],
-            ([rf.factor.id, kind, rf.score.mode or "", rf.score.value.to_text(nd)]
+        yield f"scores_{kind}.csv", _delimited(
+            {"factor_id": "%s", "kind": kind, "mode": "%s", "value": "%s"},
+            ((_field(rf.factor.id), rf.score.mode or "", _field(rf.score.value.to_text(nd)))
              for rf in (ranked[p.factor.id] for p in report.candidates[kind])),  # in id order
         )
-        yield f"ranking_{kind}.csv", _csv_text(
-            ["position", "factor_id", "rank", *scoring.RankBreakdown._fields[:-1]],
-            ([str(i), rf.factor.id, f"{rf.rank:.6f}"]
-             + [f"{term:.6f}" for term in rf.breakdown[:-1]]  # ``rank`` is the last field
-             for i, rf in enumerate(ranking, start=1)),
+        yield f"ranking_{kind}.csv", _delimited(
+            {"position": "%d", "factor_id": "%s",
+             **dict.fromkeys(("rank", *scoring.RankBreakdown._fields[:-1]), "%.6f")},
+            ((position, _field(rf.factor.id), rf.rank, *rf.breakdown[:-1])  # its last term is rank
+             for position, rf in enumerate(ranking, start=1)),
         )
     if report.psychometrics:
         rows = []
         content = report.psychometrics.get("content_validity")
         if content:
-            for component in content["components"]:
-                rows.append([
-                    "cvr", component["id"], f"{component['cvr']:.6f}",
-                    f"{content['threshold']:.6g}", str(component["passes"]).lower(),
-                ])
+            rows += (("cvr", _field(c["id"]), c["cvr"], content["threshold"], _BOOL[c["passes"]])
+                     for c in content["components"])
         reliability = report.psychometrics.get("reliability")
         if reliability:
-            for dim in reliability["dimensions"]:
-                rows.append([
-                    "cronbach_alpha", dim["dimension"], f"{dim['alpha']:.6f}",
-                    f"{reliability['threshold']:.6g}", str(dim["passes"]).lower(),
-                ])
-        yield "psychometrics.csv", _csv_text(["metric", "id", "value", "threshold", "passes"], rows)
+            rows += (("cronbach_alpha", _field(d["dimension"]), d["alpha"], reliability["threshold"],
+                      _BOOL[d["passes"]])
+                     for d in reliability["dimensions"])
+        yield "psychometrics.csv", _delimited(
+            {"metric": "%s", "id": "%s", "value": "%.6f", "threshold": "%.6g", "passes": "%s"}, rows
+        )
 
 
 def _float_text(value: float) -> str:
@@ -505,11 +527,11 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
+_BOOL = {True: "true", False: "false"}
 # How json.dumps writes a value of exactly this type; an instance of a subclass
 # is written as the first type here that it is an instance of (bool before int).
-_SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text,
-                bool: {True: "true", False: "false"}.get, int: int.__repr__,
-                type(None): {None: "null"}.get}
+_SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text, bool: _BOOL.get,
+                int: int.__repr__, type(None): {None: "null"}.get}
 
 
 def _json_text(value, indent: str) -> str:
@@ -519,45 +541,57 @@ def _json_text(value, indent: str) -> str:
 
 def _chunks(value, indent: str):
     """The text of ``value`` at ``indent`` in pieces: a scalar in one, a container as it streams."""
+    inner = indent + "  "
     if isinstance(value, dict):
         return _object_chunks(value.items(), indent)
-    if isinstance(value, (list, tuple, Iterator)):
-        return _array_chunks(value, indent)
+    if isinstance(value, Table):
+        return _array_chunks(_table_texts(value, inner), indent)
+    if isinstance(value, (list, tuple)):
+        return _array_chunks(_scalar_texts(value) or map(_json_text, value, repeat(inner)), indent)
+    if isinstance(value, Iterator):
+        return _array_chunks(map(_json_text, value, repeat(inner)), indent)
     for kind, write in _SCALAR_TEXT.items():
         if isinstance(value, kind):
             return (write(value),)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# Values are rendered in batches of this many. Each column of a batch is a
-# tuple as long as the batch, and CPython keeps freed tuples shorter than 20 on
-# a free list that tracemalloc counts as held: on 2000 factors, the structured
-# emit's traced peak was 0.13 of the file with batches of 32 or 64 on Python
-# 3.10 to 3.13, 0.16 with 16, and 0.25 with 20 on 3.11.
+def _scalar_texts(values: list | tuple):
+    """The texts of ``values`` through one ``map`` if they are of one exact scalar type, else ``None``."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (write := _SCALAR_TEXT.get(*kinds)):  # an inf or NaN raises in order
+        return map(write, values)
+    return None
+
+
+def _row_template(fields: dict, indent: str) -> tuple[str, list[str]]:
+    """The ``%`` template of one row of ``fields`` at ``indent``, and its formats in order."""
+    inner = indent + "  "
+    items, formats = [], []
+    for key, format in fields.items():
+        if isinstance(format, dict):
+            format, nested = _row_template(format, inner)
+            formats += nested
+        else:
+            formats.append(format)
+        items.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {format}")
+    return "{\n" + inner + (",\n" + inner).join(items) + f"\n{indent}}}", formats
+
+
+# A table's rows are taken this many at a time, so that the floats of a batch are
+# checked in one pass in C.
 _BATCH = 32
 
 
-def _column_texts(column, indent: str):
-    """The texts of ``column``'s values at ``indent`` as an iterator; ``None`` for another column.
-
-    One exact scalar type is written with one ``map``. Non-empty exact dicts with
-    the same keys in the same order, each of whose columns this function takes,
-    are written through one ``%`` template.
-    """
-    kinds = set(map(type, column))
-    if kinds == {float} and all(map(math.isfinite, column)):
-        return map(float.__repr__, column)
-    if len(kinds) == 1 and (write := _SCALAR_TEXT.get(*kinds)):  # an inf or NaN raises in row order
-        return map(write, column)
-    if kinds != {dict} or not column[0] or len(set(map(tuple, column))) != 1:
-        return None
-    inner = indent + "  "
-    columns = [_column_texts(values, inner) for values in zip(*map(dict.values, column))]
-    if None in columns:
-        return None
-    keys = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in column[0]]
-    template = f"{{\n{inner}" + f",\n{inner}".join(keys) + f"\n{indent}}}"
-    return map(template.__mod__, zip(*columns))
+def _table_texts(table: Table, indent: str):
+    """The text of each row of ``table`` at ``indent``; a NaN or infinity raises ``ValueError``."""
+    template, formats = _row_template(table.fields, indent)
+    floats = repeat([format == "%r" for format in formats])
+    rows = iter(table.rows)
+    for batch in iter(lambda: list(islice(rows, _BATCH)), []):
+        if not all(map(math.isfinite, chain.from_iterable(map(compress, batch, floats)))):
+            list(map(_float_text, chain.from_iterable(map(compress, batch, floats))))  # raises
+        yield from map(template.__mod__, batch)
 
 
 # Items are joined into chunks of about this many characters before they are
@@ -572,12 +606,12 @@ def json_chunks(sections):
     Keys must be strings, and a NaN or infinity raises ``ValueError``. Each
     iterator is written as a list, and ``json.dumps``'s pure-Python indenting
     encoder is not used. Containers are written only by ``_object_chunks``
-    (one value at a time) and ``_array_chunks`` (in batches of ``_BATCH``
-    items). A batch goes by column when ``_column_texts`` can take it, each
-    column with one ``map`` and same-keyed rows through one template, and
-    otherwise one item at a time. Item texts are joined into pieces of about
-    ``_CHUNK_CHARS`` characters, so a caller that writes the pieces out as they
-    come holds one piece and the values of one batch at a time.
+    (one value at a time) and ``_array_chunks`` (one item at a time). A
+    ``Table``'s rows go through one ``%`` template, built once for the table,
+    ``_BATCH`` rows at a time, and a list of one exact scalar type through one
+    ``map``. Item texts are joined into pieces of about ``_CHUNK_CHARS``
+    characters, so a caller that writes the pieces out as they come holds one
+    piece and one batch of rows at a time.
     """
     yield from _object_chunks(sections, "")
     yield "\n"
@@ -587,48 +621,48 @@ def _object_chunks(pairs, indent: str):
     inner = indent + "  "
     opening, separator = "{\n" + inner, ",\n" + inner
     for key, value in pairs:
-        yield f"{opening}{encode_basestring_ascii(key)}: "
+        write = _SCALAR_TEXT.get(type(value))  # a value of an exact scalar type in the same piece
+        if write:
+            yield f"{opening}{encode_basestring_ascii(key)}: {write(value)}"
+        else:
+            yield f"{opening}{encode_basestring_ascii(key)}: "
+            yield from _chunks(value, inner)
         opening = separator
-        yield from _chunks(value, inner)
     yield "{}" if opening[0] == "{" else f"\n{indent}}}"
 
 
-def _array_chunks(items, indent: str):
+def _array_chunks(texts, indent: str):
+    """The array of the item ``texts`` at ``indent``, in pieces of about ``_CHUNK_CHARS``."""
     inner = indent + "  "
     opening, separator = "[\n" + inner, ",\n" + inner
-    items = iter(items)
     rows, size = [], 0
-    for batch in iter(lambda: list(islice(items, _BATCH)), []):
-        texts = _column_texts(batch, inner) or map(_json_text, batch, repeat(inner))
-        del batch  # a table's rows are freed once their columns are taken, its texts ...
-        for text in texts:
-            rows.append(text)
-            size += len(text)
-            if size >= _CHUNK_CHARS:
-                yield opening + separator.join(rows)
-                opening, rows, size = separator, [], 0
-        del texts  # ... before the next batch is built
+    for text in texts:
+        rows.append(text)
+        size += len(text)
+        if size >= _CHUNK_CHARS:
+            yield opening + separator.join(rows)
+            opening, rows, size = separator, [], 0
     if rows:
         yield f"{opening}{separator.join(rows)}\n{indent}]"
     else:
         yield "[]" if opening[0] == "[" else f"\n{indent}]"
 
 
-def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
+def emit(report: Report, out_dir: str | Path, formats) -> list[str]:
     """Write the report to ``out_dir`` in each of ``formats``.
 
     Files are written atomically (temp file + rename). Returns the written
-    paths in a fixed order. An empty ``out_dir`` names no directory, not the
-    working one, and is refused as an unknown format is, before any file is written.
+    paths in a fixed order, each ``out_dir`` as given joined with the file's
+    name. An empty ``out_dir`` names no directory, not the working one, and is
+    refused as an unknown format is, before any file is written.
     """
     if out_dir == "":
         raise ValueError("out_dir must not be empty")
-    out = Path(out_dir)
     unknown = [f for f in formats if f not in REPORT_FORMATS]
     if unknown:
         raise ValueError(f"unknown report formats: {unknown}")
 
-    written: list[Path] = []
+    written: list[str] = []
     for format in dict.fromkeys(formats):
         if format == STRUCTURED:
             files = [("report.json", json_chunks(report.sections()))]
@@ -637,6 +671,7 @@ def emit(report: Report, out_dir: str | Path, formats) -> list[Path]:
         else:
             files = [("map.svg", [ipamap.render_svg(report.profiles, report.config.thresholds)])]
         for name, chunks in files:  # each file is built after the one before it is written
-            _write_atomic(out / name, chunks)
-            written.append(out / name)
+            path = os.path.join(out_dir, name)
+            _write_atomic(path, chunks)
+            written.append(path)
     return written

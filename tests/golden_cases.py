@@ -11,7 +11,10 @@ non-ASCII, quoted, tab and backslash names and one ``-0.0`` endpoint) and CVR
 counts with three Likert grids, so the psychometrics section, the rank
 breakdowns and ``psychometrics.csv`` are pinned too. ``golden_flags/`` pins the
 non-default flags, and ``scale.json``, a five-term scale with other values
-whose labels are spelled in another case or with padding. A report names its
+whose labels are spelled in another case or with padding. ``golden_quoting/``
+pins the quoting of delimited fields on every Python: its factor ids, names
+and dimensions hold CR (alone and before LF), commas and double quotes, and
+its CVR component ids and dimension names hold NUL and CR. A report names its
 input as given, so a golden report carries that relative path, or a
 placeholder. The aggregated run is repeated under a locale whose encoding is
 ASCII: outputs are written as UTF-8 whatever the locale.
@@ -60,6 +63,8 @@ CASES = (
     Case("custom-scale", "golden_flags/scale", "golden_flags",
          ("--ratings", "../golden_ratings/ratings.csv", "--scale", "scale.json"),
          "../golden_ratings/ratings.csv", "../golden_ratings/ratings.csv"),
+    Case("quoting", "golden_quoting/out", "golden_quoting", PSYCHOMETRICS,
+         "aggregated.csv", "aggregated.csv"),
 )
 ASCII_LOCALE = CASES[2]  # its factor names and a dimension are not ASCII
 

@@ -4,8 +4,11 @@ Valid inputs give a report, and the same report on stdout, in ``report.json`` an
 """
 
 import contextlib
+import csv
 import io
 import json
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from it2ipa import default_scale, fixtures
 from it2ipa.cli import main
-from it2ipa.report import PipelineConfig, REPORT_FORMATS, json_chunks, run_pipeline
+from it2ipa.report import DELIMITED, PipelineConfig, REPORT_FORMATS, emit, json_chunks, run_pipeline
 from helpers import it2_values
 
 LABELS = default_scale().labels
@@ -274,3 +277,55 @@ def test_every_valid_input_gives_the_same_report_everywhere(aggregated, psychome
         doc = report.to_structured()
         assert ("".join(json_chunks(report.sections()))
                 == json.dumps(doc, indent=2, allow_nan=False) + "\n" == text)
+
+
+# Python 3.10's csv reader refuses NUL, so there the ids leave it out. Each id
+# starts and ends with x, so that the parsers keep it as it is.
+CSV_ID_CHARS = ID_CHARS if sys.version_info >= (3, 11) else ID_CHARS.replace("\x00", "")
+csv_ids = st.text(alphabet=CSV_ID_CHARS, max_size=4).map(lambda text: f"x{text}x")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(csv_ids, min_size=1, max_size=4, unique=True), st.data())
+def test_delimited_files_read_back_as_the_report_fields(ids, data):
+    lines = ["factor_id,name,dimension,importance,performance"]
+    for fid in ids:
+        band = data.draw(st.integers(0, 2))
+        importance, performance = (data.draw(it2_values(*BANDS[b])) for b in (band, (band + 1) % 3))
+        lines.append(",".join(map(_quoted, [fid, fid[::-1], data.draw(csv_ids),
+                                            importance.to_text(), performance.to_text()])))
+    psychometrics = {
+        "content_validity": {"panel_size": 4, "essential_counts": dict.fromkeys(ids, 3)},
+        "reliability": {"dimensions": {fid: [[0, 1], [100, 2], [200, 4]] for fid in ids}},
+    }
+    with tempfile.TemporaryDirectory() as work:
+        agg, psy = Path(work, "aggregated.csv"), Path(work, "psychometrics.json")
+        agg.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        psy.write_text(json.dumps(psychometrics), encoding="utf-8")
+        report = run_pipeline(PipelineConfig(), aggregated_path=agg, psychometrics_path=psy)
+        columns = {}
+        for path in emit(report, Path(work, "out"), [DELIMITED]):
+            if path.endswith(".csv"):
+                with open(path, encoding="utf-8", newline="") as handle:
+                    header, *rows = csv.reader(handle)
+                assert {len(row) for row in rows} <= {len(header)}, path
+                columns[os.path.basename(path)] = dict(zip(header, zip(*rows)))
+
+        profiles = report.profiles
+        for name in ("aggregated.csv", "defuzzified.csv"):
+            assert columns[name]["factor_id"] == tuple(p.factor.id for p in profiles)
+            assert columns[name]["name"] == tuple(p.factor.name for p in profiles)
+            assert columns[name]["dimension"] == tuple(p.factor.dimension for p in profiles)
+        assert columns["aggregated.csv"]["importance"] == tuple(p.w_fuzzy.to_text(3) for p in profiles)
+        for kind, ranking in report.rankings.items():
+            assert columns[f"scores_{kind}.csv"].get("factor_id", ()) == tuple(
+                p.factor.id for p in report.candidates[kind])
+            assert columns[f"ranking_{kind}.csv"].get("factor_id", ()) == tuple(
+                rf.factor.id for rf in ranking)
+        summary = report.psychometrics
+        assert columns["psychometrics.csv"]["id"] == tuple(
+            [c["id"] for c in summary["content_validity"]["components"]]
+            + [d["dimension"] for d in summary["reliability"]["dimensions"]])
+        # and it2ipa --aggregated reads aggregated.csv back
+        again = run_pipeline(PipelineConfig(), aggregated_path=Path(work, "out", "aggregated.csv"))
+        assert [p.factor for p in again.profiles] == [p.factor for p in profiles]

@@ -10,6 +10,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -22,7 +23,7 @@ from it2ipa import fixtures
 from it2ipa.cli import main
 from it2ipa.errors import InputFileError
 from it2ipa.report import (
-    DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, emit, json_chunks,
+    DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, Table, emit, json_chunks,
     run_pipeline,
 )
 from helpers import random_it2
@@ -262,15 +263,15 @@ def emit_peak(report, out_dir, formats) -> tuple[int, int]:
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    return peak, sum(p.stat().st_size for p in written)
+    return peak, sum(os.path.getsize(p) for p in written)
 
 
 class TestEmit:
     def test_structured_report_has_18_factor_entries(self, tmp_path):
         report = run_default()
         written = emit(report, tmp_path, [STRUCTURED])
-        assert [p.name for p in written] == ["report.json"]
-        doc = json.loads(written[0].read_text())
+        assert written == [os.path.join(tmp_path, "report.json")]
+        doc = json.loads(Path(written[0]).read_text())
         assert doc["input"]["factor_count"] == 18
         assert len(doc["aggregated"]) == 18
 
@@ -281,7 +282,7 @@ class TestEmit:
 
     def test_svg_map_emits_exactly_one_file(self, tmp_path):
         written = emit(run_default(), tmp_path, [SVG_MAP])
-        assert [p.name for p in written] == ["map.svg"]
+        assert written == [os.path.join(tmp_path, "map.svg")]
 
     def test_delimited_round_trip(self, tmp_path):
         report = run_default()
@@ -294,9 +295,20 @@ class TestEmit:
         second = (tmp_path / "second" / "aggregated.csv").read_bytes()
         assert first == second  # display rounding is idempotent under re-parse
 
+    def test_a_carriage_return_in_an_id_reads_back(self, tmp_path):
+        # a field that holds CR is quoted on every Python, as one that holds LF is
+        value = "((0,0.1,0.2,0.3;1,1),(0.05,0.1,0.2,0.25;0.9,0.9))"
+        path = tmp_path / "agg.csv"
+        path.write_text(f'factor_id,importance,performance\n"f\r1","{value}","{value}"\n', newline="")
+        emit(run_pipeline(PipelineConfig(), aggregated_path=path), tmp_path / "out", [DELIMITED])
+        written = tmp_path / "out" / "aggregated.csv"
+        assert written.read_bytes().split(b"\n")[1].startswith(b'"f\r1","f\r1",general,"((')
+        again = run_pipeline(PipelineConfig(), aggregated_path=written)
+        assert [p.factor.id for p in again.profiles] == ["f\r1"]
+
     def test_delimited_file_set(self, tmp_path):
         written = emit(run_default(), tmp_path, [DELIMITED])
-        names = {p.name for p in written}
+        names = {os.path.basename(p) for p in written}
         assert names == {
             "aggregated.csv", "defuzzified.csv", "map.txt", "notes.txt",
             "scores_success.csv", "scores_failure.csv",
@@ -315,8 +327,8 @@ class TestEmit:
             written = emit(report, tmp_path, REPORT_FORMATS)
         finally:
             os.umask(previous)
-        assert {p.stat().st_mode & 0o777 for p in written} == {mode}
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+        assert {os.stat(p).st_mode & 0o777 for p in written} == {mode}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(map(os.path.basename, written))
 
     def test_json_is_strict(self):
         with pytest.raises(ValueError):
@@ -482,6 +494,56 @@ class TestTables:
         with pytest.raises(ValueError, match=re.escape(
                 f"Out of range float values are not JSON compliant: {bad!r}")):
             chunks_text({"t": rows})
+
+
+# Each ``Table`` format: its values, and how a row holds one of them.
+FORMATS = {"%s": (st.text(), encode_basestring_ascii), "%d": (st.integers(), int),
+           "%r": (FINITE, float)}
+
+
+@st.composite
+def row_tables(draw):
+    """A ``Table`` of up to 40 rows, with at most one nested object, and its rows as dicts."""
+    def fields_of(keys):
+        return {key: draw(st.sampled_from(list(FORMATS))) for key in keys}
+
+    def draw_row(fields):
+        flat, plain = [], {}
+        for key, format in fields.items():
+            if isinstance(format, dict):
+                nested, plain[key] = draw_row(format)
+                flat += nested
+            else:
+                values, held = FORMATS[format]
+                plain[key] = draw(values)
+                flat.append(held(plain[key]))
+        return flat, plain
+
+    fields = fields_of(draw(KEYS))
+    nested = draw(st.sampled_from([None, *fields]))
+    if nested is not None:
+        fields[nested] = fields_of(draw(KEYS))
+    rows = [draw_row(fields) for _ in range(draw(st.integers(0, 40)))]
+    return Table(fields, [tuple(flat) for flat, _ in rows]), [plain for _, plain in rows]
+
+
+class TestRowTemplates:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(row_tables(), st.booleans())
+    def test_equals_indented_dumps(self, table, lazy):
+        table, plain = table
+        nested = Table(table.fields, iter(table.rows)) if lazy else table
+        assert chunks_text({"t": table, "u": {"v": nested}}) == dumps({"t": plain, "u": {"v": plain}})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("at", [1, 3], ids=["field", "nested"])
+    def test_a_non_finite_float_is_rejected(self, bad, at):
+        fields = {"id": "%s", "x": "%r", "n": {"y": "%d", "z": "%r"}}
+        rows = [('"a"', 0.5, 1, 2.5), ('"b"', 0.5, 1, 2.5)]
+        rows[1] = rows[1][:at] + (bad,) + rows[1][at + 1:]
+        with pytest.raises(ValueError, match=re.escape(
+                f"Out of range float values are not JSON compliant: {bad!r}")):
+            chunks_text({"t": Table(fields, iter(rows))})
 
 
 class TestToJson:
@@ -758,6 +820,30 @@ class TestCli:
             main(["--thresholds", "0.2"])
         assert excinfo.value.code == 2
         assert "--thresholds: expected two comma-separated cut points" in capsys.readouterr().err
+
+    def test_out_files_are_named_as_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", "./o/"]) == 0
+        assert capsys.readouterr().out == "./o/report.json\n"
+
+    def test_out_below_a_regular_file_is_named_as_written(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept")
+        assert main(["--out", "./afile/x"]) == 2
+        diagnostic = json.loads(capsys.readouterr().err.removeprefix("error: "))
+        assert diagnostic["file"] == "./afile/x/report.json"
+        assert diagnostic["cause"].startswith("cannot write ./afile/x/report.json: ")
+
+    def test_a_nul_in_a_psychometrics_id_is_written(self, tmp_path):
+        path = tmp_path / "psy.json"
+        path.write_text(json.dumps(
+            {"content_validity": {"panel_size": 5, "essential_counts": {"a\u0000b": 3}}}
+        ))
+        out = tmp_path / "out"
+        assert main(["--psychometrics", str(path), "--out", str(out), "--format", "delimited"]) == 0
+        assert (out / "psychometrics.csv").read_bytes() == (
+            b"metric,id,value,threshold,passes\ncvr,a\x00b,0.200000,0.59,false\n"
+        )
 
     def test_out_below_a_regular_file_is_located(self, tmp_path, capsys):
         afile = tmp_path / "afile"
