@@ -88,7 +88,7 @@ def partition(
     return parts[WEAKNESS], parts[STRENGTH], parts[BALANCED]
 
 
-def _by_cell(profiles: list[PlacedFactor]) -> dict[MapRegion, list[PlacedFactor]]:
+def by_cell(profiles: list[PlacedFactor]) -> dict[MapRegion, list[PlacedFactor]]:
     """The ``REGIONS`` in order, each with its profiles in input order; any other raises ``ValueError``."""
     cells = {cell: [] for cell in REGIONS}
     for profile in profiles:
@@ -100,29 +100,13 @@ def _by_cell(profiles: list[PlacedFactor]) -> dict[MapRegion, list[PlacedFactor]
     return cells
 
 
-def build_map(profiles: list[PlacedFactor], thresholds: MapThresholds) -> dict:
-    """The map as data: cut points, then the nine cells (high importance first) with factors.
-
-    Each cell's ``factors`` is an iterator that builds one entry per step, so a writer
-    holds one entry at a time. A region that is not one of ``REGIONS`` raises ``ValueError``
-    in this call, before any entry is built.
-    """
-    regions = [{**cell._asdict(), "factors": map(_map_entry, members)}
-               for cell, members in _by_cell(profiles).items()]
-    return {"thresholds": [thresholds.t1, thresholds.t2], "regions": regions}
-
-
-def _map_entry(profile: PlacedFactor) -> dict:
-    return {"id": profile.factor.id, "importance": profile.e_w, "performance": profile.e_r}
-
-
 def render_text(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
     """The map as a fixed-width text grid, each cell's factor ids in input order.
 
     A region that is not one of ``REGIONS`` raises ``ValueError``.
     """
     content = {cell[:2]: " ".join(p.factor.id for p in members)  # by the two bands
-               for cell, members in _by_cell(profiles).items()}
+               for cell, members in by_cell(profiles).items()}
     t1, t2 = thresholds
     row_label = "importance"
     widths = {
@@ -143,8 +127,19 @@ def render_text(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A label's text: ``&`` ``<`` ``>`` escaped, and U+FFFD for each character that
+# XML 1.0 cannot carry at all, not even as a character reference: the C0
+# controls but tab, LF and CR, and U+FFFE and U+FFFF.
+_SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
+    [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")})
+
+
 def render_svg(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
-    """The map as a self-contained SVG scatter over the band grid, points in input order."""
+    """The map as a self-contained SVG scatter over the band grid, points in input order.
+
+    Each label is its factor id, a character XML 1.0 forbids written as U+FFFD,
+    so the file is well-formed XML whatever the ids hold.
+    """
     size, margin = 500.0, 70.0
     width = height = size + 2 * margin
 
@@ -191,7 +186,7 @@ def render_svg(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
     for profile in profiles:
         x, y = sx(profile.e_r), sy(profile.e_w)
         parts.append(f'<circle class="pt" cx="{x}" cy="{y}" r="3"/>')
-        label = profile.factor.id.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        label = profile.factor.id.translate(_SVG_TEXT)
         parts.append(f'<text x="{float(x) + 5:.2f}" y="{float(y) - 4:.2f}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,7 +7,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from collections.abc import Iterator
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -62,7 +61,9 @@ _DEFUZZIFIED = {"factor": "%s", "importance": "%r", "performance": "%r",
 _SCORE = {"factor": "%s", "value": "%s"}
 _RANKING = {"position": "%d", "factor": "%s", "rank": "%r", "value": "%s",
             "breakdown": dict.fromkeys(scoring.RankBreakdown._fields, "%r")}
+_MAP_ENTRY = {"id": "%s", "importance": "%r", "performance": "%r"}
 _COMPONENT = {"id": "%s", "essential": "%d", "cvr": "%r", "passes": "%s"}
+_DIMENSION = {"dimension": "%s", "respondents": "%d", "items": "%d", "alpha": "%r", "passes": "%s"}
 
 
 class IoFailureError(OSError):
@@ -93,6 +94,14 @@ class PipelineConfig(namedtuple("PipelineConfig", "scale_path thresholds partiti
         return tuple.__new__(cls, (scale_path, thresholds, partition_mode, cffs_mode))
 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+
+PsychometricsSummary = namedtuple(
+    "PsychometricsSummary", "source panel_size cvr_threshold components alpha_threshold dimensions")
+PsychometricsSummary.__doc__ = """The checks of the psychometrics file ``source``: ``components``
+holds ``(id, essential, cvr, passes)`` rows in id order and ``dimensions``
+``(dimension, respondents, items, alpha, passes)`` rows in name order, each empty when the file
+gives none."""
 
 
 class Report(namedtuple("Report", (
@@ -163,12 +172,12 @@ class Report(namedtuple("Report", (
     def sections(self):
         """Each top-level ``(key, value)`` of the structured report, in schema order.
 
-        A section is built when it is asked for. The factor tables
+        A section is built when it is asked for. Every list of factor rows
         (``aggregated``, ``defuzzified``, each kind under ``scores`` and
-        ``rankings``, and the CVR ``components``) are ``Table``s and each map
-        cell's ``factors`` an iterator, each building one row per step, so a
-        writer that consumes each row before it asks for the next holds one row
-        at a time.
+        ``rankings``, each map cell's ``factors``, and the psychometrics
+        ``components`` and ``dimensions``) is a ``Table`` that builds one row per
+        step, so a writer that consumes each row before it asks for the next
+        holds one row at a time.
         """
         yield "schema", SCHEMA
         scale_path = self.config.scale_path
@@ -209,7 +218,12 @@ class Report(namedtuple("Report", (
             for position, (rf, value) in enumerate(zip(ranking, values[kind]), start=1)
         )) for kind, ranking in rankings.items()}
         del values
-        yield "map", ipamap.build_map(self.profiles, self.config.thresholds)
+        yield "map", {
+            "thresholds": [self.config.thresholds.t1, self.config.thresholds.t2],
+            "regions": [{**cell._asdict(), "factors": Table(_MAP_ENTRY, (
+                (_str(p.factor.id), p.e_w, p.e_r) for p in members
+            ))} for cell, members in ipamap.by_cell(self.profiles).items()],
+        }
         yield "psychometrics", _psychometrics_section(self.psychometrics)
         yield "notes", list(self.notes)
 
@@ -259,61 +273,50 @@ def _scores_table(kind: str, fields: dict, ranking, rows) -> Table:
                  ((*row, _str(rf.score.mode)) for row, rf in zip(rows, ranking)))
 
 
-def _psychometrics_section(summary: dict | None) -> dict:
-    """The ``psychometrics`` section: ``summary``, its CVR components as a ``Table``."""
-    if not summary:
+def _psychometrics_section(summary: PsychometricsSummary | None) -> dict:
+    """The ``psychometrics`` section, its components and dimensions as ``Table``s."""
+    if summary is None:
         return {"provided": False}
-    content = summary.get("content_validity")
-    if not content:
-        return summary
-    components = Table(_COMPONENT, (
-        (_str(c["id"]), c["essential"], c["cvr"], _BOOL[c["passes"]])
-        for c in content["components"]
-    ))
-    return {**summary, "content_validity": {**content, "components": components}}
+    section = {"provided": True, "source": summary.source}
+    if summary.components:
+        section["content_validity"] = {
+            "panel_size": summary.panel_size,
+            "threshold": summary.cvr_threshold,
+            "components": Table(_COMPONENT, (
+                (_str(cid), essential, value, _BOOL[passes])
+                for cid, essential, value, passes in summary.components
+            )),
+        }
+    if summary.dimensions:
+        section["reliability"] = {
+            "threshold": summary.alpha_threshold,
+            "dimensions": Table(_DIMENSION, (
+                (_str(name), respondents, items, alpha, _BOOL[passes])
+                for name, respondents, items, alpha, passes in summary.dimensions
+            )),
+        }
+    return section
 
 
-def _summarize_psychometrics(data: Psychometrics, source: str) -> dict:
-    summary: dict = {"provided": True, "source": source}
-    if data.essential_counts:
-        components = []
-        for cid in sorted(data.essential_counts, key=factor_sort_key):
-            count = data.essential_counts[cid]
-            try:
-                value = cvr(count, data.panel_size)
-            except InvalidCountsError as exc:
-                raise InputFileError(source, f"component {cid}: {exc}") from exc
-            components.append({
-                "id": cid,
-                "essential": count,
-                "cvr": value,
-                "passes": value > data.cvr_threshold,
-            })
-        summary["content_validity"] = {
-            "panel_size": data.panel_size,
-            "threshold": data.cvr_threshold,
-            "components": components,
-        }
-    if data.dimension_scores:
-        dimensions = []
-        for name in sorted(data.dimension_scores):
-            grid = data.dimension_scores[name]
-            try:
-                alpha = cronbach_alpha(grid)
-            except DegenerateDataError as exc:
-                raise InputFileError(source, f"dimension {name!r}: {exc}") from exc
-            dimensions.append({
-                "dimension": name,
-                "respondents": len(grid),
-                "items": len(grid[0]),
-                "alpha": alpha,
-                "passes": alpha >= data.alpha_threshold,
-            })
-        summary["reliability"] = {
-            "threshold": data.alpha_threshold,
-            "dimensions": dimensions,
-        }
-    return summary
+def _summarize_psychometrics(data: Psychometrics, source: str) -> PsychometricsSummary:
+    components = []
+    for cid in sorted(data.essential_counts, key=factor_sort_key):
+        count = data.essential_counts[cid]
+        try:
+            value = cvr(count, data.panel_size)
+        except InvalidCountsError as exc:
+            raise InputFileError(source, f"component {cid}: {exc}") from exc
+        components.append((cid, count, value, value > data.cvr_threshold))
+    dimensions = []
+    for name in sorted(data.dimension_scores):
+        grid = data.dimension_scores[name]
+        try:
+            alpha = cronbach_alpha(grid)
+        except DegenerateDataError as exc:
+            raise InputFileError(source, f"dimension {name!r}: {exc}") from exc
+        dimensions.append((name, len(grid), len(grid[0]), alpha, alpha >= data.alpha_threshold))
+    return PsychometricsSummary(source, data.panel_size, data.cvr_threshold, components,
+                                data.alpha_threshold, dimensions)
 
 
 def _endpoint_deviation(computed, reference) -> float:
@@ -505,19 +508,14 @@ def _delimited_files(report: Report):
             ((position, _field(rf.factor.id), rf.rank, *rf.breakdown[:-1])  # its last term is rank
              for position, rf in enumerate(ranking, start=1)),
         )
-    if report.psychometrics:
-        rows = []
-        content = report.psychometrics.get("content_validity")
-        if content:
-            rows += (("cvr", _field(c["id"]), c["cvr"], content["threshold"], _BOOL[c["passes"]])
-                     for c in content["components"])
-        reliability = report.psychometrics.get("reliability")
-        if reliability:
-            rows += (("cronbach_alpha", _field(d["dimension"]), d["alpha"], reliability["threshold"],
-                      _BOOL[d["passes"]])
-                     for d in reliability["dimensions"])
+    summary = report.psychometrics
+    if summary is not None:
         yield "psychometrics.csv", _delimited(
-            {"metric": "%s", "id": "%s", "value": "%.6f", "threshold": "%.6g", "passes": "%s"}, rows
+            {"metric": "%s", "id": "%s", "value": "%.6f", "threshold": "%.6g", "passes": "%s"},
+            chain((("cvr", _field(cid), value, summary.cvr_threshold, _BOOL[passes])
+                   for cid, _, value, passes in summary.components),
+                  (("cronbach_alpha", _field(name), alpha, summary.alpha_threshold, _BOOL[passes])
+                   for name, _, _, alpha, passes in summary.dimensions)),
         )
 
 
@@ -535,7 +533,7 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text, bool: _BOOL.ge
 
 
 def _json_text(value, indent: str) -> str:
-    """``value`` as ``json.dumps(..., indent=2)`` writes it at ``indent``; an iterator as a list."""
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at ``indent``."""
     return "".join(_chunks(value, indent))
 
 
@@ -548,8 +546,6 @@ def _chunks(value, indent: str):
         return _array_chunks(_table_texts(value, inner), indent)
     if isinstance(value, (list, tuple)):
         return _array_chunks(_scalar_texts(value) or map(_json_text, value, repeat(inner)), indent)
-    if isinstance(value, Iterator):
-        return _array_chunks(map(_json_text, value, repeat(inner)), indent)
     for kind, write in _SCALAR_TEXT.items():
         if isinstance(value, kind):
             return (write(value),)
@@ -603,15 +599,16 @@ _CHUNK_CHARS = 16384
 def json_chunks(sections):
     """The text of ``json.dumps(dict(sections), indent=2, allow_nan=False) + "\\n"``, in pieces.
 
-    Keys must be strings, and a NaN or infinity raises ``ValueError``. Each
-    iterator is written as a list, and ``json.dumps``'s pure-Python indenting
-    encoder is not used. Containers are written only by ``_object_chunks``
-    (one value at a time) and ``_array_chunks`` (one item at a time). A
-    ``Table``'s rows go through one ``%`` template, built once for the table,
-    ``_BATCH`` rows at a time, and a list of one exact scalar type through one
-    ``map``. Item texts are joined into pieces of about ``_CHUNK_CHARS``
-    characters, so a caller that writes the pieces out as they come holds one
-    piece and one batch of rows at a time.
+    Values are dicts, ``Table``s, lists and tuples, and scalars, but no
+    iterators; keys must be strings, and a NaN or infinity raises
+    ``ValueError``. ``json.dumps``'s pure-Python indenting encoder is not used.
+    Containers are written only by ``_object_chunks`` (one value at a time)
+    and ``_array_chunks`` (one item at a time). A ``Table``'s rows go through
+    one ``%`` template, built once for the table, ``_BATCH`` rows at a time,
+    and a list of one exact scalar type through one ``map``. Item texts are
+    joined into pieces of about ``_CHUNK_CHARS`` characters, so a caller that
+    writes the pieces out as they come holds one piece and one batch of rows
+    at a time.
     """
     yield from _object_chunks(sections, "")
     yield "\n"

@@ -324,8 +324,7 @@ def test_delimited_files_read_back_as_the_report_fields(ids, data):
                 rf.factor.id for rf in ranking)
         summary = report.psychometrics
         assert columns["psychometrics.csv"]["id"] == tuple(
-            [c["id"] for c in summary["content_validity"]["components"]]
-            + [d["dimension"] for d in summary["reliability"]["dimensions"]])
+            [row[0] for row in summary.components] + [row[0] for row in summary.dimensions])
         # and it2ipa --aggregated reads aggregated.csv back
         again = run_pipeline(PipelineConfig(), aggregated_path=Path(work, "out", "aggregated.csv"))
         assert [p.factor for p in again.profiles] == [p.factor for p in profiles]

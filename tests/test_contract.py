@@ -3,11 +3,17 @@ raises an exception its docstring names, whatever arguments of the documented
 types it is given."""
 
 import math
+import re
+from xml.etree import ElementTree
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from it2ipa import DegenerateDataError, InvalidCountsError, cronbach_alpha, cvr
+from it2ipa import (
+    DegenerateDataError, Factor, IT2TrapFN, InvalidCountsError, MapRegion, MapThresholds,
+    PlacedFactor, cronbach_alpha, cvr, place, render_svg, render_text,
+)
+from it2ipa.ipamap import BANDS, REGIONS
 
 CONTRACT = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -67,3 +73,54 @@ def test_cvr_is_a_float_in_the_unit_range_or_invalid(pair):
     except InvalidCountsError:
         return
     assert type(value) is float and -1.0 <= value <= 1.0
+
+
+# ids of any non-surrogate text, often holding a character XML 1.0 forbids,
+# one it must escape, or a line end
+IDS = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                        st.sampled_from("\x00\x01\x08\x0b\x0c\x1f\x7f\t\n\r\ufffe\uffff&<>]")))
+UNIT = st.floats(0.0, 1.0)
+THRESHOLDS = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2,
+                      max_size=2, unique=True).map(lambda cuts: MapThresholds(*sorted(cuts)))
+# one region in four or so is hand-built, and may not be one of the nine cells
+HAND_BUILT = st.one_of(st.none(), st.none(), st.none(), st.builds(
+    MapRegion, st.sampled_from(BANDS), st.sampled_from(BANDS),
+    st.sampled_from(["weakness", "balanced", "strength", "x"])))
+FORBIDDEN_IN_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
+@st.composite
+def placed_maps(draw):
+    """Placed profiles, some with a hand-built region, and the thresholds they were placed by."""
+    thresholds = draw(THRESHOLDS)
+    one = IT2TrapFN.crisp(0.5)
+    profiles = []
+    for fid, e_w, e_r, region in draw(st.lists(st.tuples(IDS, UNIT, UNIT, HAND_BUILT), max_size=8)):
+        region = region or place(e_w, e_r, thresholds)
+        profiles.append(PlacedFactor(Factor(fid, fid, "d"), one, one, e_w, e_r, region))
+    return profiles, thresholds
+
+
+@CONTRACT
+@given(placed_maps())
+def test_render_svg_is_well_formed_with_each_id_as_a_label(placed):
+    profiles, thresholds = placed
+    svg = ElementTree.fromstring(render_svg(profiles, thresholds))
+    texts = [e.text or "" for e in svg.iter() if e.tag.endswith("text")]
+    # after the six band names and the two axis names, one label per profile in
+    # input order; an XML parser reads a CR or a CR LF as an LF
+    assert texts[8:] == [FORBIDDEN_IN_XML.sub("\ufffd", p.factor.id).replace("\r\n", "\n")
+                         .replace("\r", "\n") for p in profiles]
+
+
+@CONTRACT
+@given(placed_maps())
+def test_render_text_gives_the_grid_or_names_a_stray_region(placed):
+    profiles, thresholds = placed
+    stray = [p for p in profiles if p.region not in REGIONS]
+    try:
+        text = render_text(profiles, thresholds)
+    except ValueError as exc:
+        assert str(exc).startswith(f"factor {stray[0].factor.id}: region {stray[0].region!r}")
+        return
+    assert not stray and text.endswith("\n")

@@ -1,5 +1,6 @@
 """Map banding, zone assignment, partitioning, and rendering."""
 
+import json
 import re
 from collections.abc import Iterator
 
@@ -13,16 +14,18 @@ from it2ipa import (
     MapRegion,
     MapThresholds,
     OutOfRangeError,
+    PipelineConfig,
     PlacedFactor,
+    Report,
     ipamap,
-    build_map,
     dtrat,
     partition,
     place,
     render_svg,
     render_text,
 )
-from it2ipa.report import json_chunks
+from it2ipa.report import Table, json_chunks
+from it2ipa.scoring import FAILURE, SUCCESS
 
 THIRDS = MapThresholds()
 
@@ -155,10 +158,26 @@ class TestPartition:
         assert partition(backwards, mode) == tuple(part[::-1] for part in forwards)
 
 
+def map_of(profiles) -> dict:
+    """The ``map`` section of a report on ``profiles``, as ``Report.sections`` gives it."""
+    report = Report(PipelineConfig(), "in.csv", profiles, {SUCCESS: [], FAILURE: []}, [], {},
+                    None, None)
+    return dict(report.sections())["map"]
+
+
+def map_text(profiles) -> str:
+    """The ``map`` section as ``report.json`` holds it."""
+    return "".join(json_chunks([("map", map_of(profiles))]))
+
+
+def map_section(profiles) -> dict:
+    return json.loads(map_text(profiles))["map"]
+
+
 # the map documents a report writes, from placed profiles
 RENDERERS = {
     "text": lambda profiles: render_text(profiles, THIRDS),
-    "structured": lambda profiles: "".join(json_chunks(build_map(profiles, THIRDS).items())),
+    "structured": map_text,
     "svg": lambda profiles: render_svg(profiles, THIRDS),
 }
 
@@ -167,9 +186,9 @@ class TestRenderMap:
     def test_empty_profiles_render_everywhere(self):
         for render in RENDERERS.values():
             assert render([])  # valid empty grid document
-        structured = build_map([], THIRDS)
+        structured = map_section([])
         assert len(structured["regions"]) == 9
-        assert all(list(region["factors"]) == [] for region in structured["regions"])
+        assert all(region["factors"] == [] for region in structured["regions"])
 
     @pytest.mark.parametrize("fmt", list(RENDERERS))
     def test_every_factor_exactly_once(self, placed_profiles, fmt):
@@ -184,16 +203,17 @@ class TestRenderMap:
         assert first == second
 
     def test_structured_regions_partition_profiles(self, placed_profiles):
-        cells = [list(region["factors"]) for region in build_map(placed_profiles, THIRDS)["regions"]]
+        cells = [region["factors"] for region in map_section(placed_profiles)["regions"]]
         assert sum(map(len, cells)) == len(placed_profiles)
         # each cell lists its factors in input order
-        backwards = build_map(placed_profiles[::-1], THIRDS)
+        backwards = map_section(placed_profiles[::-1])
         for cell, reversed_cell in zip(cells, backwards["regions"]):
-            assert list(reversed_cell["factors"]) == cell[::-1]
+            assert reversed_cell["factors"] == cell[::-1]
 
     def test_lazy_map_builds_the_same_entries_when_iterated(self, placed_profiles):
-        lazy = build_map(placed_profiles, THIRDS)
-        assert all(isinstance(region["factors"], Iterator) for region in lazy["regions"])
+        lazy = map_of(placed_profiles)
+        tables = [region["factors"] for region in lazy["regions"]]
+        assert all(isinstance(t, Table) and isinstance(t.rows, Iterator) for t in tables)
         expected = [
             {**cell._asdict(), "factors": [
                 {"id": p.factor.id, "importance": p.e_w, "performance": p.e_r}
@@ -201,9 +221,8 @@ class TestRenderMap:
             ]}
             for cell in ipamap.REGIONS
         ]
-        assert [{**region, "factors": list(region["factors"])} for region in lazy["regions"]] == \
-            expected
-        assert lazy["thresholds"] == [THIRDS.t1, THIRDS.t2]
+        assert map_section(placed_profiles) == {"thresholds": [THIRDS.t1, THIRDS.t2],
+                                                "regions": expected}
 
     def test_svg_is_self_contained(self, placed_profiles):
         svg = render_svg(placed_profiles, THIRDS)
@@ -211,9 +230,9 @@ class TestRenderMap:
         assert "http://www.w3.org/2000/svg" in svg
         assert "href" not in svg  # no external assets
 
-    @pytest.mark.parametrize("render", [build_map, render_text], ids=["structured", "text"])
-    def test_a_region_outside_the_nine_cells_is_named(self, render):
+    @pytest.mark.parametrize("fmt", ["structured", "text"])
+    def test_a_region_outside_the_nine_cells_is_named(self, fmt):
         region = MapRegion("high", "low", "strength")  # the high/low cell is a weakness
         stray = crisp_profile("x_1", 0.9, 0.1)._replace(region=region)
         with pytest.raises(ValueError, match=re.escape(f"factor x_1: region {region!r}")):
-            render([crisp_profile("x_2", 0.5, 0.5), stray], THIRDS)
+            RENDERERS[fmt]([crisp_profile("x_2", 0.5, 0.5), stray])

@@ -23,8 +23,8 @@ from it2ipa import fixtures
 from it2ipa.cli import main
 from it2ipa.errors import InputFileError
 from it2ipa.report import (
-    DELIMITED, PipelineConfig, REPORT_FORMATS, STRUCTURED, SVG_MAP, Table, emit, json_chunks,
-    run_pipeline,
+    DELIMITED, PipelineConfig, PsychometricsSummary, REPORT_FORMATS, STRUCTURED, SVG_MAP, Table,
+    emit, json_chunks, run_pipeline,
 )
 from helpers import random_it2
 
@@ -198,15 +198,15 @@ class TestRunPipeline:
         path = tmp_path / "psy.json"
         path.write_text(json.dumps(doc))
         report = run_pipeline(PipelineConfig(), psychometrics_path=path)
-        content = report.psychometrics["content_validity"]
-        by_id = {c["id"]: c for c in content["components"]}
-        assert by_id["x_1"]["cvr"] == pytest.approx(1.0)
-        assert by_id["x_1"]["passes"] is True
-        assert by_id["x_2"]["cvr"] == pytest.approx(2 * 6 / 11 - 1)
-        assert by_id["x_2"]["passes"] is False
-        dimensions = report.psychometrics["reliability"]["dimensions"]
-        assert dimensions[0]["dimension"] == "Culture"
-        assert isinstance(dimensions[0]["alpha"], float)
+        summary = report.psychometrics
+        assert isinstance(summary, PsychometricsSummary)
+        assert summary[:3] == (str(path), 11, 0.59) and summary.alpha_threshold == 0.7
+        (*x_1, cvr_1, passes_1), (*x_2, cvr_2, passes_2) = summary.components
+        assert x_1 == ["x_1", 11] and cvr_1 == pytest.approx(1.0) and passes_1 is True
+        assert x_2 == ["x_2", 6] and cvr_2 == pytest.approx(2 * 6 / 11 - 1) and passes_2 is False
+        [(dimension, respondents, items, alpha, passes)] = summary.dimensions
+        assert (dimension, respondents, items) == ("Culture", 4, 3)
+        assert isinstance(alpha, float) and passes is (alpha >= 0.7)
 
     def test_custom_scale(self, tmp_path):
         scale_doc = {
@@ -251,6 +251,24 @@ def report_2000_shared(tmp_path_factory):
     path = tmp_path_factory.mktemp("agg") / "agg.csv"
     path.write_text("factor_id,importance,performance\n" + rows)
     return run_pipeline(PipelineConfig(), aggregated_path=path)
+
+
+@pytest.fixture(scope="module")
+def report_2000_psychometrics(report_2000, tmp_path_factory):
+    """``report_2000``'s factors with 2000 CVR components and five reliability dimensions."""
+    rng = random.Random(2001)
+    doc = {
+        "content_validity": {"panel_size": 40, "essential_counts": {
+            f"c{i}": rng.randint(0, 40) for i in range(2000)
+        }},
+        "reliability": {"dimensions": {
+            f"D{d}": [[rng.randint(1, 5) for _ in range(10)] for _ in range(30)] for d in range(5)
+        }},
+    }
+    path = tmp_path_factory.mktemp("psy") / "psy.json"
+    path.write_text(json.dumps(doc))
+    return run_pipeline(PipelineConfig(), aggregated_path=report_2000.input_source,
+                        psychometrics_path=path)
 
 
 def emit_peak(report, out_dir, formats) -> tuple[int, int]:
@@ -366,6 +384,13 @@ class TestEmit:
         peak, size = emit_peak(report_2000_shared, tmp_path, [format])
         assert peak < bound * size
 
+    @pytest.mark.parametrize("format,bound", [(STRUCTURED, 0.25), (DELIMITED, 1.6)])
+    def test_psychometrics_keep_the_emit_bounds(self, report_2000_psychometrics, tmp_path, format,
+                                                bound):
+        # the same bounds as without them: the components and dimensions are tables too
+        peak, size = emit_peak(report_2000_psychometrics, tmp_path, [format])
+        assert peak < bound * size
+
     def test_equal_values_keep_their_own_text(self, tmp_path):
         zero = "((0.0,0.0,0.1,0.2;1.0,1.0),(0.0,0.05,0.1,0.15;0.9,0.9))"
         negative = zero.replace("(0.0,", "(-0.0,")
@@ -394,18 +419,28 @@ class TestEmit:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_structured_emit_leaves_no_file(self, tmp_path):
-        report = run_default()._replace(psychometrics={"alpha": float("nan")})
+        summary = PsychometricsSummary("psy.json", 0, 0.59, [], 0.7,
+                                       [("D", 3, 2, float("nan"), False)])
+        report = run_default()._replace(psychometrics=summary)
         with pytest.raises(ValueError, match="Out of range float"):
             emit(report, tmp_path, [STRUCTURED])
         assert list(tmp_path.iterdir()) == []
 
-    def test_svg_escapes_factor_ids(self, tmp_path):
+    @pytest.mark.parametrize("fid,label", [
+        ("a&b<c>", "a&b<c>"), ("a\x00b", "a\ufffdb"), ("\x01", "\ufffd"), ("a\uffffb", "a\ufffdb"),
+    ], ids=["markup", "nul", "u0001", "uffff"])
+    def test_svg_escapes_factor_ids(self, tmp_path, fid, label):
+        # XML 1.0 cannot carry NUL, U+0001 or U+FFFF at all, not even as a character reference
         ratings = tmp_path / "ratings.csv"
-        ratings.write_text(RATINGS_OK.replace("f1,", '"a&b<c>",'))
-        emit(run_pipeline(PipelineConfig(), ratings_path=ratings), tmp_path, [SVG_MAP])
+        ratings.write_text(RATINGS_OK)
+        report = run_pipeline(PipelineConfig(), ratings_path=ratings)
+        f1 = report.profiles[0]
+        report = report._replace(profiles=[f1._replace(factor=f1.factor._replace(id=fid)),
+                                           *report.profiles[1:]])
+        emit(report, tmp_path, [SVG_MAP])
         labels = [e.text for e in ElementTree.parse(tmp_path / "map.svg").iter()
                   if e.tag.endswith("text")]
-        assert "a&b<c>" in labels and "f2" in labels
+        assert label in labels and "f2" in labels
 
 
 JSON_SCALARS = st.one_of(
@@ -462,21 +497,21 @@ def tables(draw, columns=COLUMNS, max_rows=100):
     return [dict(zip(keys, row)) for row in rows]
 
 
-# Where a table sits: an array of the document (iterator or list), an item of
-# an array, and the values of an object inside an array.
+# Where a list of objects sits: an array of the document, an item of an array,
+# and the values of an object inside an array.
 PLACEMENTS = {
-    "array": lambda rows: ({"t": iter(rows)}, {"t": rows}),
-    "item": lambda rows: ({"t": [rows]}, {"t": [rows]}),
-    "values": lambda rows: ({"t": [dict(zip(map(str, range(len(rows))), rows))]},) * 2,
+    "array": lambda rows: {"t": rows},
+    "item": lambda rows: {"t": [rows]},
+    "values": lambda rows: {"t": [dict(zip(map(str, range(len(rows))), rows))]},
 }
 
 
-class TestTables:
+class TestObjectLists:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(tables(), st.sampled_from(list(PLACEMENTS)))
     def test_equals_indented_dumps(self, rows, placement):
-        doc, plain = PLACEMENTS[placement](rows)
-        assert chunks_text(doc) == dumps(plain)
+        doc = PLACEMENTS[placement](rows)
+        assert chunks_text(doc) == dumps(doc)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(tables(), st.data())
@@ -559,9 +594,13 @@ class TestToJson:
         assert chunks_text(doc) == dumps(doc)
 
     def test_chunks_of_long_lists_and_iterators_join_to_the_document_text(self):
-        # lists over many chunks, and one item longer than a chunk as the last of its list
+        # lists and tables of iterated rows over many chunks, and one item longer
+        # than a chunk as the last of its list
         rows = [{"i": i, "text": "x" * (i % 50)} for i in range(3000)]
-        doc = {"rows": rows, "nested": {"rows": iter(rows), "empty": iter(()), "big": ["y" * 20000]},
+        fields = {"i": "%d", "text": "%s"}
+        table = Table(fields, ((row["i"], encode_basestring_ascii(row["text"])) for row in rows))
+        doc = {"rows": rows, "nested": {"rows": table, "empty": Table(fields, iter(())),
+                                        "big": ["y" * 20000]},
                "ids": tuple(map(str, range(5000)))}
         plain = {"rows": rows, "nested": {"rows": rows, "empty": [], "big": ["y" * 20000]},
                  "ids": list(map(str, range(5000)))}
@@ -574,7 +613,8 @@ class TestToJson:
         with pytest.raises(ValueError, match="Out of range float"):
             chunks_text({"doc": wrap(value)})
 
-    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [{"a": 1j}], {1: "int key"}])
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [{"a": 1j}], {1: "int key"},
+                                       iter([1])])
     def test_unsupported_type_or_key_rejected(self, value):
         with pytest.raises(TypeError):
             chunks_text({"doc": value})
