@@ -18,7 +18,6 @@ from .ipamap import MapThresholds, PlacedFactor
 from .numbers import DivisorSpansZeroError
 from .scale import UnknownTermError, default_scale, load_scale
 from .survey import (
-    Psychometrics,
     cronbach_alpha,
     cvr,
     DegenerateDataError,
@@ -298,7 +297,11 @@ def _psychometrics_section(summary: PsychometricsSummary | None) -> dict:
     return section
 
 
-def _summarize_psychometrics(data: Psychometrics, source: str) -> PsychometricsSummary:
+def _summarize_psychometrics(path: str | Path | None) -> PsychometricsSummary | None:
+    """The psychometrics stage: the checks of the file at ``path``, or ``None`` without one."""
+    if path is None:
+        return None
+    data, source = load_psychometrics(path), str(path)
     components = []
     for cid in sorted(data.essential_counts, key=factor_sort_key):
         count = data.essential_counts[cid]
@@ -320,11 +323,8 @@ def _summarize_psychometrics(data: Psychometrics, source: str) -> PsychometricsS
 
 
 def _endpoint_deviation(computed, reference) -> float:
-    pairs = zip(
-        computed.upper.endpoints + computed.lower.endpoints,
-        reference.upper.endpoints + reference.lower.endpoints,
-    )
-    return max(abs(c - r) for c, r in pairs)
+    """The largest distance of an endpoint of ``computed`` from that of ``reference``."""
+    return max(abs(c - r) for t, u in zip(computed, reference) for c, r in zip(t[:4], u[:4]))
 
 
 def _score_functions(cffs_mode: str) -> dict:
@@ -355,9 +355,61 @@ def _reference_comparison(profiles, cffs_mode: str) -> dict:
             "reference_order": [fid for fid, _ in orders[kind]],
         }
     listed = scores[scoring.SUCCESS].keys() | scores[scoring.FAILURE].keys()
-    unlisted = {p.factor.id for p in profiles} - listed
-    comparison["unlisted"] = sorted(unlisted, key=factor_sort_key)
+    comparison["unlisted"] = sorted({p.factor.id for p in profiles} - listed, key=factor_sort_key)
     return comparison
+
+
+def _scale(scale_path: str | None):
+    """The scale stage: the built-in scale, or the one in the file at ``scale_path``."""
+    return default_scale() if scale_path is None else load_scale(scale_path)
+
+
+def _read_input(scale, ratings_path, aggregated_path) -> tuple[list, str, bool]:
+    """The input stage: the profiles, the input as the report names it, whether it is bundled."""
+    if ratings_path is not None:
+        matrix = parse_ratings(ratings_path)
+        try:
+            return aggregate(matrix, scale), str(ratings_path), False
+        except UnknownTermError as exc:
+            raise InputFileError(str(ratings_path), exc.args[0]) from exc
+    if aggregated_path is None:
+        aggregated_path = fixtures.aggregated_path()
+    profiles = parse_aggregated(aggregated_path)
+    return profiles, str(aggregated_path), (
+        Path(aggregated_path).resolve() == fixtures.aggregated_path().resolve())
+
+
+def _place(profiles, thresholds: MapThresholds) -> list[PlacedFactor]:
+    """The place stage: each profile in factor-id order, defuzzified and placed on the map."""
+    placed = []
+    for p in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
+        e_w, e_r = dtrat(p.w_fuzzy), dtrat(p.r_fuzzy)
+        placed.append(PlacedFactor(*p, e_w, e_r, ipamap.place(e_w, e_r, thresholds)))
+    return placed
+
+
+def _partition(placed, mode: str) -> tuple[dict, list]:
+    """The partition stage: each kind's candidates, success first, and the balanced factors."""
+    failure, success, balanced = ipamap.partition(placed, mode)
+    return {scoring.SUCCESS: success, scoring.FAILURE: failure}, balanced
+
+
+def _score_and_rank(candidates: dict, cffs_mode: str, source: str) -> dict:
+    """The score and rank stage: each kind's candidates scored and ranked, success first."""
+    rankings = {}
+    for kind, score in _score_functions(cffs_mode).items():
+        scores = []
+        for p in candidates[kind]:
+            try:
+                scores.append(score(p.factor, p.w_fuzzy, p.r_fuzzy))
+            except DivisorSpansZeroError as exc:  # only a failure score divides
+                raise InputFileError(
+                    source, f"factor {p.factor.id}: {cffs_mode} failure score: {exc}") from exc
+        try:
+            rankings[kind] = scoring.rank_order(scores)
+        except scoring.NonFiniteScoreError as exc:  # importance support starting just above 0
+            raise InputFileError(source, str(exc)) from exc
+    return rankings
 
 
 def run_pipeline(
@@ -370,71 +422,24 @@ def run_pipeline(
 
     Exactly one of ``ratings_path`` / ``aggregated_path`` may be given; with
     neither, the bundled reference dataset is used. The result is a pure
-    function of the inputs and the configuration. Each stage runs once per
-    factor and builds new immutable records. Of several defects, the first
-    reported is in the scale file, then the main input, then the psychometrics
-    file, and last a failure score that cannot be computed or ranked.
+    function of the inputs and the configuration. The stages run once each, in
+    this order, and each builds new immutable records from earlier ones: scale,
+    input, psychometrics, place, partition, score and rank, and, on the bundled
+    file, the reference comparison. So the first defect reported is in the scale
+    file, then the main input, then the psychometrics file, and last a failure
+    score that cannot be computed or ranked.
     """
     if ratings_path is not None and aggregated_path is not None:
         raise ValueError("give either a ratings file or an aggregated file, not both")
-
-    scale = default_scale() if config.scale_path is None else load_scale(config.scale_path)
-
-    used_bundled = False
-    if ratings_path is not None:
-        input_source = str(ratings_path)
-        matrix = parse_ratings(ratings_path)
-        try:
-            profiles = aggregate(matrix, scale)
-        except UnknownTermError as exc:
-            raise InputFileError(input_source, exc.args[0]) from exc
-    else:
-        if aggregated_path is None:
-            aggregated_path = fixtures.aggregated_path()
-        profiles = parse_aggregated(aggregated_path)
-        input_source = str(aggregated_path)
-        used_bundled = Path(aggregated_path).resolve() == fixtures.aggregated_path().resolve()
-
+    profiles, source, bundled = _read_input(_scale(config.scale_path), ratings_path, aggregated_path)
     # Summarized before the factors are placed and scored, so that the score
     # grids are freed before those stages allocate.
-    psychometrics = None
-    if psychometrics_path is not None:
-        psychometrics = _summarize_psychometrics(load_psychometrics(psychometrics_path),
-                                                 str(psychometrics_path))
-
-    placed = []
-    for p in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
-        e_w, e_r = dtrat(p.w_fuzzy), dtrat(p.r_fuzzy)
-        region = ipamap.place(e_w, e_r, config.thresholds)
-        placed.append(PlacedFactor(*p, e_w, e_r, region))
-
-    failure, success, balanced = ipamap.partition(placed, config.partition_mode)
-    candidates = {scoring.SUCCESS: success, scoring.FAILURE: failure}
-    rankings = {}
-    for kind, score in _score_functions(config.cffs_mode).items():
-        scores = []
-        for p in candidates[kind]:
-            try:
-                scores.append(score(p.factor, p.w_fuzzy, p.r_fuzzy))
-            except DivisorSpansZeroError as exc:  # only a failure score divides
-                raise InputFileError(
-                    input_source, f"factor {p.factor.id}: {config.cffs_mode} failure score: {exc}"
-                ) from exc
-        try:
-            rankings[kind] = scoring.rank_order(scores)
-        except scoring.NonFiniteScoreError as exc:  # importance support starting just above 0
-            raise InputFileError(input_source, str(exc)) from exc
-
-    return Report(
-        config=config,
-        input_source=input_source,
-        profiles=placed,
-        candidates=candidates,
-        balanced=balanced,
-        rankings=rankings,
-        psychometrics=psychometrics,
-        comparison=_reference_comparison(placed, config.cffs_mode) if used_bundled else None,
-    )
+    psychometrics = _summarize_psychometrics(psychometrics_path)
+    placed = _place(profiles, config.thresholds)
+    candidates, balanced = _partition(placed, config.partition_mode)
+    return Report(config, source, placed, candidates, balanced,
+                  _score_and_rank(candidates, config.cffs_mode, source), psychometrics,
+                  _reference_comparison(placed, config.cffs_mode) if bundled else None)
 
 
 # ---------------------------------------------------------------------------

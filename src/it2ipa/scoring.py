@@ -6,7 +6,7 @@ import math
 from collections import namedtuple
 
 from . import numbers
-from .numbers import IT2TrapFN, Trapezoid, ordered_sum
+from .numbers import IT2TrapFN
 from .survey import Factor, factor_sort_key
 
 SUCCESS = "success"
@@ -83,15 +83,12 @@ def failure_score(factor: Factor, w: IT2TrapFN, r: IT2TrapFN, mode: str = AS_COM
     return FuzzyScore(factor, FAILURE, value, mode=mode)
 
 
-def _pair_deviation(x: float, y: float) -> float:
-    # population standard deviation of a pair
-    return abs(y - x) / 2.0
-
-
-def _quad_deviation(endpoints: tuple[float, float, float, float]) -> float:
-    mean = ordered_sum(endpoints) / 4.0
+def _quad_deviation(a1: float, a2: float, a3: float, a4: float) -> float:
+    # population standard deviation of four endpoints
+    mean = (a1 + a2 + a3 + a4) / 4.0
     try:
-        return math.sqrt(ordered_sum((v - mean) ** 2 for v in endpoints) / 4.0)
+        return math.sqrt(((a1 - mean) ** 2 + (a2 - mean) ** 2 + (a3 - mean) ** 2
+                          + (a4 - mean) ** 2) / 4.0)
     except OverflowError:  # float ** raises where float * gives inf
         return math.inf
 
@@ -99,26 +96,21 @@ def _quad_deviation(endpoints: tuple[float, float, float, float]) -> float:
 def rank_value(a: IT2TrapFN) -> RankBreakdown:
     """Chen-Lee ranking value of an interval type-2 trapezoid.
 
-    Accepts raw (possibly non-monotone) tuples; every term is returned in
-    the breakdown so the total can be audited. Each group of terms is summed
-    left to right in the breakdown's field order.
+    Accepts raw (possibly non-monotone) tuples; every term is returned in the breakdown so the
+    total can be audited. A pair's deviation, its population standard deviation, is half its
+    distance. Each group of terms is summed left to right in the breakdown's field order.
     """
-    def terms(t: Trapezoid):
-        e = t.endpoints
-        means = ((e[0] + e[1]) / 2.0, (e[1] + e[2]) / 2.0, (e[2] + e[3]) / 2.0)
-        deviations = (
-            _pair_deviation(e[0], e[1]),
-            _pair_deviation(e[1], e[2]),
-            _pair_deviation(e[2], e[3]),
-            _quad_deviation(e),
-        )
-        return means, deviations
-
-    (means_u, deviations_u), (means_l, deviations_l) = terms(a.upper), terms(a.lower)
-    means, deviations = means_u + means_l, deviations_u + deviations_l
-    heights = a.upper.heights + a.lower.heights
-    total = ordered_sum(means) - 0.25 * ordered_sum(deviations) + ordered_sum(heights)
-    return RankBreakdown(*means, *deviations, *heights, total)
+    (u1, u2, u3, u4, h1u, h2u), (l1, l2, l3, l4, h1l, h2l) = a
+    m1u, m2u, m3u = (u1 + u2) / 2.0, (u2 + u3) / 2.0, (u3 + u4) / 2.0
+    m1l, m2l, m3l = (l1 + l2) / 2.0, (l2 + l3) / 2.0, (l3 + l4) / 2.0
+    s1u, s2u, s3u = abs(u2 - u1) / 2.0, abs(u3 - u2) / 2.0, abs(u4 - u3) / 2.0
+    s1l, s2l, s3l = abs(l2 - l1) / 2.0, abs(l3 - l2) / 2.0, abs(l4 - l3) / 2.0
+    s4u, s4l = _quad_deviation(u1, u2, u3, u4), _quad_deviation(l1, l2, l3, l4)
+    rank = ((m1u + m2u + m3u + m1l + m2l + m3l)
+            - 0.25 * (s1u + s2u + s3u + s4u + s1l + s2l + s3l + s4l)
+            + (h1u + h2u + h1l + h2l))
+    return RankBreakdown(m1u, m2u, m3u, m1l, m2l, m3l, s1u, s2u, s3u, s4u, s1l, s2l, s3l, s4l,
+                         h1u, h2u, h1l, h2l, rank)
 
 
 def rank_order(scores: list[FuzzyScore]) -> list[RankedFactor]:

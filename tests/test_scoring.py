@@ -1,7 +1,9 @@
 """Criticality scores and the Chen-Lee ranking value."""
 
 import math
+import operator
 import random
+from functools import reduce
 from statistics import pstdev
 
 import pytest
@@ -23,7 +25,7 @@ from it2ipa import (
 )
 from it2ipa import numbers, scoring
 from it2ipa.numbers import Trapezoid
-from it2ipa.scoring import NonFiniteScoreError, RankBreakdown, _pair_deviation, _quad_deviation
+from it2ipa.scoring import NonFiniteScoreError, RankBreakdown
 from helpers import assert_it2_close, it2_values, random_it2
 
 F = Factor("f", "f", "d")
@@ -113,8 +115,29 @@ def rank_oracle(a: IT2TrapFN) -> float:
     return total
 
 
+def _ordered_sum(values) -> float:
+    return reduce(operator.add, values)
+
+
+def _pair_deviation(x: float, y: float) -> float:
+    # population standard deviation of a pair
+    return abs(y - x) / 2.0
+
+
+def _quad_deviation(endpoints: tuple[float, float, float, float]) -> float:
+    mean = _ordered_sum(endpoints) / 4.0
+    try:
+        return math.sqrt(_ordered_sum((v - mean) ** 2 for v in endpoints) / 4.0)
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
+
+
 def rank_value_term_by_term(a: IT2TrapFN) -> RankBreakdown:
-    """The ranking value with each of its 19 terms named: the bit-for-bit reference."""
+    """The ranking value with each of its 19 terms named: the bit-for-bit reference.
+
+    It shares no code with ``rank_value``: the deviations and the left-to-right
+    sums above are its own.
+    """
     def terms(t):
         e = t.endpoints
         means = ((e[0] + e[1]) / 2.0, (e[1] + e[2]) / 2.0, (e[2] + e[3]) / 2.0)
