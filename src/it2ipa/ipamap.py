@@ -127,10 +127,11 @@ def render_text(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A label's text: ``&`` ``<`` ``>`` escaped, and U+FFFD for each character that
-# XML 1.0 cannot carry at all, not even as a character reference: the C0
+# A label's text: ``&`` ``<`` ``>`` escaped; CR as a character reference, since
+# an XML parser reads a bare CR, or CR LF, as LF; and U+FFFD for each character
+# that XML 1.0 cannot carry at all, not even as a character reference: the C0
 # controls but tab, LF and CR, and U+FFFE and U+FFFF.
-_SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
+_SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;", **dict.fromkeys(
     [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")})
 
 

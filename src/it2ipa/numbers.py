@@ -12,12 +12,13 @@ tuples.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import sys
 import warnings
 from collections import namedtuple
-from functools import cache, partial, reduce
+from functools import cache
 
 
 class NegativeSupportError(ValueError):
@@ -166,9 +167,6 @@ def it2(upper: tuple, lower: tuple) -> IT2TrapFN:
 
 
 _ONE = IT2TrapFN.crisp(1.0)
-# A float sum added left to right, in C. Builtin ``sum`` is never used: from Python 3.12
-# it compensates rounding, so a last ulp, and with it the outputs, would vary by version.
-ordered_sum = partial(reduce, operator.add)
 
 
 def _pairwise(a: IT2TrapFN, b: IT2TrapFN, op, cross: bool = False) -> IT2TrapFN:
@@ -250,24 +248,68 @@ def scalar_div(a: IT2TrapFN, m: int) -> IT2TrapFN:
     return _pairwise(a, IT2TrapFN.crisp(m), operator.truediv)
 
 
-def mean(values) -> IT2TrapFN:
-    """The mean operator: endpoint sums over ``values`` divided by their count.
+def _non_finite_sum(ends) -> float:
+    """The sum of ``ends``, at least one of them NaN or infinite: NaN if one is NaN, or
+    if both infinities are there; otherwise the one infinity."""
+    odd = [x for x in ends if not math.isfinite(x)]
+    return odd[0] if all(x == odd[0] for x in odd) else math.nan  # NaN equals nothing
 
-    ``values`` is a non-empty sequence. ``zip`` transposes it, in C, into the upper and the
-    lower trapezoids and each of those into its columns. Each endpoint column is summed by
-    ``ordered_sum`` and heights are the minimum over ``values``, so the result equals
-    ``scalar_div(reduce(add, values), len(values))`` bit for bit, with no partial sums.
+
+def mean_terms(value: IT2TrapFN) -> tuple:
+    """What ``counted_mean`` adds of ``value``: a power-of-two denominator, the eight
+    endpoints as exact integers over it (None where NaN or infinite), the eight endpoints
+    as they are, then the four heights.
+
+    Every finite float is an integer over a power of two, so the denominator is the
+    largest of the eight endpoints' own.
+    """
+    ends = value.upper[:4] + value.lower[:4]
+    ratios = [x.as_integer_ratio() if math.isfinite(x) else None for x in ends]
+    denominator = max((r[1] for r in ratios if r), default=1)
+    numerators = [r and r[0] * (denominator // r[1]) for r in ratios]
+    return (denominator, *numerators, *ends, *value.upper[4:], *value.lower[4:])
+
+
+def counted_mean(terms, counts) -> IT2TrapFN:
+    """The mean of ``counts[i]`` copies of the value of each ``terms[i]`` (``mean_terms``).
+
+    Each endpoint is the exact sum, ``Σ count × numerator`` over Python ints on the
+    largest denominator of ``terms``, divided once by the total count times that
+    denominator: an int/int true division, so it is the exact mean rounded once,
+    whatever the order of ``terms``. A zero sum is ``-0.0`` exactly when every addend
+    is ``-0.0``, as in IEEE addition. A NaN, or both infinities, give NaN, and one
+    infinity gives itself. Heights are the minimum. ``counts`` is read twice.
+    """
+    columns = list(zip(*terms))
+    unit = max(columns[0])
+    weights = [count * (unit // denominator) for count, denominator in zip(counts, columns[0])]
+    denominator = sum(counts) * unit
+    ends = []
+    for numerators, floats in zip(columns[1:9], columns[9:17]):
+        if None in numerators:
+            ends.append(_non_finite_sum(floats))
+            continue
+        total = sum(map(operator.mul, weights, numerators))
+        if total:
+            ends.append(total / denominator)
+        else:
+            ends.append(-0.0 if all(math.copysign(1.0, x) < 0 for x in floats) else 0.0)
+    h1u, h2u, h1l, h2l = map(min, columns[17:])
+    return IT2TrapFN(Trapezoid(*ends[:4], h1u, h2u), Trapezoid(*ends[4:], h1l, h2l))
+
+
+def mean(values) -> IT2TrapFN:
+    """The mean operator: each endpoint's exact sum over ``values``, divided by their count
+    and rounded once; heights are the minimum over ``values``.
+
+    ``values`` is a non-empty sequence. This is ``counted_mean`` with a count of one per
+    value, so the result does not depend on the order of ``values`` (see ``counted_mean``
+    for zeros, NaN and infinities).
     """
     m = len(values)
     if m < 1:
         raise InvalidDivisorError("the mean needs at least one value")
-
-    def trap(traps) -> Trapezoid:
-        *ends, h1, h2 = zip(*traps)
-        return Trapezoid(*(ordered_sum(column) / m for column in ends), min(h1), min(h2))
-
-    uppers, lowers = zip(*values)
-    return IT2TrapFN(trap(uppers), trap(lowers))
+    return counted_mean(list(map(mean_terms, values)), [1] * m)
 
 
 def one_minus(a: IT2TrapFN) -> IT2TrapFN:

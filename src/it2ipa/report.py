@@ -333,21 +333,25 @@ def _score_functions(cffs_mode: str) -> dict:
             scoring.FAILURE: functools.partial(scoring.failure_score, mode=cffs_mode)}
 
 
-def _reference_comparison(profiles, cffs_mode: str) -> dict:
+def _reference_comparison(profiles, rankings: dict, cffs_mode: str) -> dict:
     """How far a run on the bundled dataset is from its reference tables.
 
     Per kind (``success``, ``failure``): the largest endpoint deviation of the
     score tuples, and the reference candidates and ranking order, which
-    ``Report.notes`` sets beside the computed ones. ``unlisted`` names the
-    factors in neither reference list.
+    ``Report.notes`` sets beside the computed ones. A candidate's score is the
+    one in ``rankings``; only the reference factors that are not candidates are
+    scored here. ``unlisted`` names the factors in neither reference list.
     """
     scores, orders = fixtures.reference_scores(), fixtures.reference_rankings()
     comparison = {}
     for kind, score in _score_functions(cffs_mode).items():
+        values = {rf.factor.id: rf.score.value for rf in rankings[kind]}
         comparison[kind] = {
             "deviation": max(
                 _endpoint_deviation(
-                    score(p.factor, p.w_fuzzy, p.r_fuzzy).value, scores[kind][p.factor.id]
+                    values[p.factor.id] if p.factor.id in values
+                    else score(p.factor, p.w_fuzzy, p.r_fuzzy).value,
+                    scores[kind][p.factor.id],
                 )
                 for p in profiles if p.factor.id in scores[kind]
             ),
@@ -437,9 +441,9 @@ def run_pipeline(
     psychometrics = _summarize_psychometrics(psychometrics_path)
     placed = _place(profiles, config.thresholds)
     candidates, balanced = _partition(placed, config.partition_mode)
-    return Report(config, source, placed, candidates, balanced,
-                  _score_and_rank(candidates, config.cffs_mode, source), psychometrics,
-                  _reference_comparison(placed, config.cffs_mode) if bundled else None)
+    rankings = _score_and_rank(candidates, config.cffs_mode, source)
+    return Report(config, source, placed, candidates, balanced, rankings, psychometrics,
+                  _reference_comparison(placed, rankings, config.cffs_mode) if bundled else None)
 
 
 # ---------------------------------------------------------------------------

@@ -59,17 +59,22 @@ def factor_sort_key(factor_id: str):
 def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfile]:
     """Average the experts' fuzzy ratings per factor and facet.
 
-    Implements the mean operator (``numbers.mean``): the fuzzy sum over
-    experts, in expert order, divided by the expert count. Result heights are
-    the minimum across experts. A row is checked for blank cells before any of
-    its labels is resolved; then each cell is resolved with its own ``lookup``
-    call, and nothing is cached. An unknown label names its factor, expert and
-    facet; the first bad cell of a row is the one reported.
+    Implements the mean operator (``numbers.mean``): each endpoint is the exact
+    sum over the experts, divided by the expert count and rounded once, and
+    result heights are the minimum across experts. So a row's mean depends on
+    the multiset of its ratings, not on the expert order. A row is checked for
+    blank cells before any of its labels is resolved; then each cell is
+    resolved with its own ``lookup`` call, in expert order, so an unknown
+    label names its factor, expert and facet, and the first bad cell of a row
+    is the one reported. The row is then counted by label text, and each
+    distinct text's value is turned into exact terms (``numbers.mean_terms``)
+    once per call, so the sums run over the counts.
     """
     if not matrix.factors or not matrix.experts:
         raise EmptyMatrixError("rating matrix needs at least one factor and one expert")
 
     m = len(matrix.experts)
+    terms = {}  # label text -> the mean terms of its value
     profiles = []
     for i, factor in enumerate(matrix.factors):
         means = {}
@@ -81,6 +86,8 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
                     f"factor {factor.id}: {facet} row is not dense ({len(row)} cells for {m} experts)"
                 )
             try:
+                # one call per cell, as bench/test_bench.py counts them; the values
+                # are read only for the texts not yet in ``terms``
                 values = [lookup(scale, label) for label in row]
             except UnknownTermError as exc:
                 # the lookups stop at the first bad cell; an earlier cell with
@@ -90,7 +97,11 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
                     exc.label, exc.vocabulary,
                     context=f"factor {factor.id}, expert {expert}, {facet}",
                 ) from None
-            means[facet] = numbers.mean(values)
+            counts = Counter(row)
+            for label in counts.keys() - terms.keys():
+                terms[label] = numbers.mean_terms(values[row.index(label)])
+            means[facet] = numbers.counted_mean(list(map(terms.__getitem__, counts)),
+                                                counts.values())
         profiles.append(FactorProfile(factor, means[IMPORTANCE], means[PERFORMANCE]))
     return profiles
 

@@ -21,11 +21,15 @@ ASCII: outputs are written as UTF-8 whatever the locale.
 
 This module imports nothing from pytest. It runs every case against the
 ``it2ipa`` that it imports, and exits 1 naming the case and file of each
-mismatch:
+mismatch. With ``--write`` it rewrites each case's golden directory from the
+outputs of that ``it2ipa`` instead, with the same placeholder swap, and writes
+nothing if a case exits non-zero:
 
     PYTHONPATH=src python tests/golden_cases.py
+    PYTHONPATH=src python tests/golden_cases.py --write
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -69,12 +73,17 @@ CASES = (
 ASCII_LOCALE = CASES[2]  # its factor names and a dimension are not ASCII
 
 
-def mismatches(case: Case, out_dir: Path, ascii_locale: bool = False) -> list[str]:
-    """Run ``case`` and name each output that differs from its golden file; [] when none.
+class RunFailed(Exception):
+    """A case's run exited non-zero, or could not be made as the case asks."""
 
-    ``it2ipa.cli.main`` runs in this process, once to stdout and once with ``--out
-    out_dir`` and every format. With ``ascii_locale``, only the second run is made,
-    as ``python -m it2ipa.cli`` under ``LC_ALL=C PYTHONUTF8=0``.
+
+def outputs(case: Case, out_dir: Path, ascii_locale: bool = False) -> dict[str, bytes]:
+    """Run ``case``; each output's bytes, the input's name swapped for the placeholder.
+
+    ``it2ipa.cli.main`` runs in this process, once to stdout (the ``"stdout"``
+    entry) and once with ``--out out_dir`` and every format. With
+    ``ascii_locale``, only the second run is made, as ``python -m it2ipa.cli``
+    under ``LC_ALL=C PYTHONUTF8=0``. Raises ``RunFailed`` if a run exits non-zero.
     """
     import it2ipa
     from it2ipa import cli, fixtures
@@ -91,11 +100,11 @@ def mismatches(case: Case, out_dir: Path, ascii_locale: bool = False) -> list[st
             env=env, capture_output=True, text=True, check=True,
         ).stdout.strip()
         if encoding.lower().replace("-", "") == "utf8":
-            return [f"the locale's encoding is {encoding}, not ASCII"]
+            raise RunFailed(f"the locale's encoding is {encoding}, not ASCII")
         done = subprocess.run([sys.executable, "-m", "it2ipa.cli", *out], cwd=HERE / case.cwd,
                               env=env, capture_output=True, text=True)
         if done.returncode:
-            return [f"exit status {done.returncode}: {done.stderr}"]
+            raise RunFailed(f"exit status {done.returncode}: {done.stderr}")
     else:
         previous = os.getcwd()
         os.chdir(HERE / case.cwd)
@@ -107,17 +116,68 @@ def mismatches(case: Case, out_dir: Path, ascii_locale: bool = False) -> list[st
         finally:
             os.chdir(previous)
         if status:
-            return [f"exit status {status}"]
+            raise RunFailed(f"exit status {status}")
         got["stdout"] = stdout.getvalue().encode().replace(*swap)
+    got.update((path.name, path.read_bytes().replace(*swap)) for path in out_dir.iterdir())
+    return got
+
+
+def mismatches(case: Case, out_dir: Path, ascii_locale: bool = False) -> list[str]:
+    """Run ``case`` (see ``outputs``) and name each output that differs from its golden
+    file, or why the run failed; [] when none."""
+    try:
+        got = outputs(case, out_dir, ascii_locale)
+    except RunFailed as exc:
+        return [str(exc)]
     golden = {path.name: path.read_bytes() for path in (HERE / case.golden).iterdir()}
     if "stdout" in got:
         golden["stdout"] = golden["report.json"]
-    got.update((path.name, path.read_bytes().replace(*swap)) for path in out_dir.iterdir())
     return sorted(name for name in golden.keys() | got.keys() if golden.get(name) != got.get(name))
 
 
-def main() -> int:
-    """Run every case, and the ASCII-locale one; 1 if any output differs."""
+def write(root: Path = HERE) -> list[str]:
+    """Rewrite each case's golden directory under ``root`` from its outputs; the problems.
+
+    Every case runs first. If one fails, or its stdout is not its ``report.json``,
+    nothing is written and the problems are returned, each naming its case.
+    Otherwise each golden directory holds exactly the new files, and [] is returned.
+    """
+    results, problems = {}, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            try:
+                results[case] = outputs(case, Path(tmp, case.name))
+            except RunFailed as exc:
+                problems.append(f"{case.name}: {exc}")
+                continue
+            if results[case].pop("stdout") != results[case].get("report.json"):
+                problems.append(f"{case.name}: stdout is not report.json")
+    if problems:
+        return problems
+    for case, files in results.items():
+        golden = root / case.golden
+        golden.mkdir(parents=True, exist_ok=True)
+        for path in golden.iterdir():
+            path.unlink()
+        for name, data in files.items():
+            (golden / name).write_bytes(data)
+    return []
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run every case, and the ASCII-locale one; 1 if any output differs.
+
+    With ``--write``, rewrite the golden sets instead; 1 if nothing was written.
+    """
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite each golden directory from the outputs of the it2ipa imported")
+    if parser.parse_args(argv).write:
+        problems = write()
+        for problem in problems:
+            print(problem, file=sys.stderr)
+        print("no golden set written" if problems else f"all {len(CASES)} golden sets written")
+        return int(bool(problems))
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for case, ascii_locale in [(case, False) for case in CASES] + [(ASCII_LOCALE, True)]:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
-from functools import reduce
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from it2ipa import IT2TrapFN, add, it2, scalar_div
+from it2ipa import IT2TrapFN, Trapezoid, it2
 
 
 def random_it2(rng: random.Random, lo: float = 0.0, hi: float = 1.0,
@@ -40,9 +41,43 @@ def it2_values(draw, lo: float = 0.0, hi: float = 1.0, unit_heights: bool = Fals
     return it2((*u, uh1, uh2), (*low, lh1, lh2))
 
 
-def sequential_mean(values) -> IT2TrapFN:
-    """The mean as its definition reads: pairwise fuzzy sums, then one division."""
-    return scalar_div(reduce(add, values), len(values))
+def exact_mean(values) -> IT2TrapFN:
+    """The mean in exact arithmetic: each endpoint's ``Fraction`` sum over ``values``,
+    divided by their count and rounded once; heights are the minimum.
+
+    A zero sum is -0.0 exactly when every addend is -0.0, as in IEEE addition. A NaN,
+    or both infinities, give NaN; an infinity alone among the non-finite gives itself.
+    """
+    def endpoint(column) -> float:
+        if any(map(math.isnan, column)) or {math.inf, -math.inf} <= set(column):
+            return math.nan
+        for infinity in (math.inf, -math.inf):
+            if infinity in column:
+                return infinity
+        total = sum(map(Fraction, column))
+        if total == 0:
+            return -0.0 if all(math.copysign(1.0, x) < 0 for x in column) else 0.0
+        return float(total / len(column))
+
+    def trap(traps) -> Trapezoid:
+        *ends, h1, h2 = zip(*traps)
+        return Trapezoid(*map(endpoint, ends), min(h1), min(h2))
+
+    uppers, lowers = zip(*values)
+    return IT2TrapFN(trap(uppers), trap(lowers))
+
+
+def same_bits(x: float, y: float) -> bool:
+    """Equal as IEEE values: any NaN matches any NaN, and 0.0 differs from -0.0."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def assert_same_bits(got: IT2TrapFN, want: IT2TrapFN) -> None:
+    """Every endpoint and height of ``got`` is ``want``'s, bit for bit."""
+    for x, y in zip(got.upper + got.lower, want.upper + want.lower):
+        assert same_bits(x, y), (got.to_text(), want.to_text())
 
 
 def endpoints8(a: IT2TrapFN) -> tuple[float, ...]:

@@ -8,7 +8,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from it2ipa import (
@@ -27,7 +27,15 @@ from it2ipa import (
     scalar_div,
     sub,
 )
-from helpers import assert_it2_close, it2_values, max_endpoint_gap, random_it2, sequential_mean
+from helpers import (
+    assert_it2_close,
+    assert_same_bits,
+    exact_mean,
+    it2_values,
+    max_endpoint_gap,
+    random_it2,
+    same_bits,
+)
 
 CRISP_ZERO = IT2TrapFN.crisp(0.0)
 CRISP_ONE = IT2TrapFN.crisp(1.0)
@@ -285,15 +293,20 @@ class TestScalarDiv:
         assert result.lower.heights == a.lower.heights
 
 
+MEAN_EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True)
+TINY = 2.0**-1074  # the least subnormal
+
+
 class TestMean:
+    @MEAN_EXAMPLES
     @given(st.data(), st.lists(it2_values(), min_size=1, max_size=50))
-    def test_equals_sequential_sum_then_division_exactly(self, data, values):
+    def test_equals_the_exact_mean_in_any_order(self, data, values):
         values = data.draw(st.permutations(values))
-        assert mean(values) == sequential_mean(values)
+        assert_same_bits(mean(values), exact_mean(values))
 
     def test_mixed_terms_exactly(self, terms):
         values = [terms[label] for label in ("High", "Low", "Very High", "Medium", "High")] * 20
-        assert mean(values) == sequential_mean(values)
+        assert_same_bits(mean(values), exact_mean(values))
 
     def test_heights_are_the_minimum(self):
         values = [it2((0, 0, 0, 0, 0.7, 1), (0, 0, 0, 0, 0.5, 0.9)),
@@ -304,6 +317,27 @@ class TestMean:
     def test_negative_zero_survives(self):
         result = mean([IT2TrapFN.crisp(-0.0)] * 3)
         assert all(math.copysign(1.0, v) == -1.0 for v in result.upper.endpoints)
+
+    @pytest.mark.parametrize("column, want", [
+        ([-0.0, -0.0], -0.0),  # a zero sum is -0.0 only when every addend is
+        ([-0.0, 0.0], 0.0),
+        ([0.5, -0.5, -0.0], 0.0),
+        ([-TINY, 0.0], -0.0),  # a negative mean too small for a float
+        ([TINY, 0.0], 0.0),
+        ([math.nan, 1.0], math.nan),
+        ([math.inf, -math.inf, 1.0], math.nan),
+        ([math.inf, math.nan], math.nan),
+        ([math.inf, 1.0, math.inf], math.inf),
+        ([-math.inf, -1e308], -math.inf),
+        ([5 * TINY, TINY], 3 * TINY),  # subnormals are exact
+        ([1e308, 1e308], 1e308),  # a sum past the float range
+        ([1.7e308, 1.7e308, -1.7e308], 1.7e308 / 3),
+        ([0.1] * 10, 0.1),  # 0.1 added ten times left to right is not 1
+    ])
+    def test_each_endpoint_follows_the_exact_rule(self, column, want):
+        values = [IT2TrapFN.crisp(x) for x in column]
+        for got in (mean(values), exact_mean(values)):
+            assert all(same_bits(x, want) for x in got.upper.endpoints + got.lower.endpoints)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidDivisorError):
@@ -391,13 +425,6 @@ class TestEndpointRule:
         assert [w.filename for w in record] == [__file__, __file__]
 
 
-def same_bits(x: float, y: float) -> bool:
-    """Equal as IEEE values: any NaN matches any NaN, and 0.0 differs from -0.0."""
-    if math.isnan(x) or math.isnan(y):
-        return math.isnan(x) and math.isnan(y)
-    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
-
-
 # Any endpoints, NaN and infinities too, in any order; heights valid.
 _ANY_ENDS = st.floats()
 _HEIGHTS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -405,13 +432,11 @@ _ANY_TRAP = st.builds(Trapezoid, _ANY_ENDS, _ANY_ENDS, _ANY_ENDS, _ANY_ENDS, _HE
 
 
 class TestMeanBits:
+    @MEAN_EXAMPLES
     @given(st.lists(raw_it2(-1e6, 1e6) | st.builds(IT2TrapFN, _ANY_TRAP, _ANY_TRAP),
                     min_size=1, max_size=60))
-    def test_equals_sequential_mean_field_by_field(self, values):
-        expected = sequential_mean(values)
-        result = mean(values)
-        for got, want in zip(result.upper + result.lower, expected.upper + expected.lower):
-            assert same_bits(got, want), (got, want)
+    def test_equals_the_exact_mean_field_by_field(self, values):
+        assert_same_bits(mean(values), exact_mean(values))
 
 
 SLACK = 1e-12

@@ -78,9 +78,12 @@ def test_each_stage_runs_once(calls, tmp_path, case):
     factors = len(report.profiles)
     assert factors == {"bundled": 18, "ratings": 20, "aggregated": 40}[case]
     candidates = {kind: len(members) for kind, members in report.candidates.items()}
-    # a run on the bundled file also scores each factor of the reference score tables
-    compared = ({kind: len(report.comparison[kind]["reference_candidates"]) for kind in candidates}
-                if bundled else {kind: 0 for kind in candidates})
+    # a run on the bundled file also scores each factor of the reference score
+    # tables that is not a candidate: one score per factor and kind
+    scored = {kind: {p.factor.id for p in members} for kind, members in report.candidates.items()}
+    if bundled:
+        for kind, ids in scored.items():
+            ids.update(report.comparison[kind]["reference_candidates"])
     summary = report.psychometrics
     expected = {
         **{f"it2ipa.report:{stage}": 1 for stage in STAGES},
@@ -97,8 +100,8 @@ def test_each_stage_runs_once(calls, tmp_path, case):
         "it2ipa.report:dtrat": 2 * factors,
         "it2ipa.ipamap:place": factors,
         "it2ipa.ipamap:partition": 1,
-        "it2ipa.scoring:success_score": candidates["success"] + compared["success"],
-        "it2ipa.scoring:failure_score": candidates["failure"] + compared["failure"],
+        "it2ipa.scoring:success_score": len(scored["success"]),
+        "it2ipa.scoring:failure_score": len(scored["failure"]),
         "it2ipa.scoring:rank_value": sum(candidates.values()),
         "it2ipa.scoring:rank_order": 2,
         # the reference comparison reads two fixture tables; the third is for tests only

@@ -21,11 +21,13 @@ from it2ipa import (
     EmptyMatrixError,
     Factor,
     InvalidCountsError,
+    LinguisticScale,
     RatingMatrix,
     UnknownTermError,
     aggregate,
     cronbach_alpha,
     cvr,
+    it2,
     load_psychometrics,
     parse_aggregated,
     parse_ratings,
@@ -35,7 +37,7 @@ from it2ipa import default_scale, fixtures, lookup
 from it2ipa.cli import main
 from it2ipa.errors import InputFileError
 from it2ipa.survey import factor_sort_key
-from helpers import assert_it2_close, sequential_mean
+from helpers import assert_it2_close, assert_same_bits, exact_mean
 
 
 def matrix_of(rows, experts=("E1", "E2", "E3")):
@@ -58,7 +60,6 @@ class TestAggregate:
 
     def test_mixed_ratings_mean(self, scale):
         # (VeryLow + Low + Medium)/3: upper (0.3,0.6,0.6,1.1)/3, lower (0.45,0.6,0.6,0.85)/3
-        from it2ipa import it2
         matrix = matrix_of({"f": (["Very Low", "Low", "Medium"], ["Medium"] * 3)})
         profile = aggregate(matrix, scale)[0]
         expected = it2(
@@ -73,17 +74,15 @@ class TestAggregate:
         assert profile.w_fuzzy == terms["High"]
 
     def test_permutation_invariant_in_experts(self, scale):
-        labels = ["Very Low", "Medium", "Very High", "Low"]
-        base = matrix_of({"f": (labels, labels)}, experts=list("abcd"))
+        labels = ["Very Low", "Medium", "Very High", "Low", "High", "medium", " Low", "High"]
+        experts = [f"e{j}" for j in range(len(labels))]
+        reference = aggregate(matrix_of({"f": (labels, labels[::-1])}, experts), scale)[0]
         rng = random.Random(7)
-        reference = aggregate(base, scale)[0]
         for _ in range(10):
             shuffled = labels[:]
             rng.shuffle(shuffled)
-            other = aggregate(
-                matrix_of({"f": (shuffled, shuffled)}, experts=list("abcd")), scale
-            )[0]
-            assert_it2_close(other.w_fuzzy, reference.w_fuzzy, 1e-12)
+            other = aggregate(matrix_of({"f": (shuffled, shuffled[::-1])}, experts), scale)[0]
+            assert other == reference
 
     def test_unknown_term_carries_coordinates(self, scale):
         matrix = matrix_of({"x_9": (["Low", "Med", "Low"], ["Low"] * 3)})
@@ -98,18 +97,33 @@ class TestAggregate:
             aggregate(matrix, scale)
         assert excinfo.value.label == "Mid"
 
-    def test_equals_sequential_oracle_exactly(self, scale):
-        rng = random.Random(11)
-        spellings = (str, str.lower, str.upper, lambda s: f"  {s} ")
-        experts = [f"e{j}" for j in range(37)]
-        rows = {
-            f"f{i}": tuple([rng.choice(spellings)(rng.choice(scale.labels)) for _ in experts]
-                           for _ in range(2))
-            for i in range(6)
-        }
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_the_exact_mean_oracle(self, scale, data):
+        spellings = st.sampled_from((str, str.lower, str.upper, lambda s: f"  {s} "))
+        cell = st.builds(lambda spell, label: spell(label), spellings, st.sampled_from(scale.labels))
+        experts = [f"e{j}" for j in range(data.draw(st.integers(1, 40), "experts"))]
+        row = st.lists(cell, min_size=len(experts), max_size=len(experts))
+        rows = {f"f{i}": (data.draw(row), data.draw(row)) for i in range(data.draw(st.integers(1, 4)))}
         for profile in aggregate(matrix_of(rows, experts), scale):
             for labels, value in zip(rows[profile.factor.id], (profile.w_fuzzy, profile.r_fuzzy)):
-                assert value == sequential_mean([lookup(scale, label) for label in labels])
+                assert_same_bits(value, exact_mean([lookup(scale, label) for label in labels]))
+
+    def test_a_custom_scale_takes_the_exact_rule(self):
+        # -0.0 endpoints, zero sums, and values over other power-of-two denominators
+        tiny = 2.0**-1074
+        scale = LinguisticScale((
+            ("neg", it2((-0.0, -0.0, 0.5, 0.5, 1, 1), (-0.0, -0.0, 0.5, 0.5, 0.9, 0.9))),
+            ("pos", it2((0.0, tiny, 0.1, 1.0, 1, 1), (0.0, tiny, 0.1, 1.0, 0.8, 0.8))),
+        ))
+        rows = {"a": (["neg"] * 3, ["neg", "pos", "POS"]), "b": (["pos", "neg", "pos"], [" pos"] * 3)}
+        profiles = aggregate(matrix_of(rows), scale)
+        for profile in profiles:
+            for labels, value in zip(rows[profile.factor.id], (profile.w_fuzzy, profile.r_fuzzy)):
+                assert_same_bits(value, exact_mean([lookup(scale, label) for label in labels]))
+        a = profiles[0]
+        assert math.copysign(1.0, a.w_fuzzy.upper.a1) == -1.0  # every addend is -0.0
+        assert math.copysign(1.0, a.r_fuzzy.upper.a1) == 1.0
 
     def test_empty_matrix_rejected(self, scale):
         with pytest.raises(EmptyMatrixError):
