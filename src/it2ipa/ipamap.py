@@ -184,10 +184,19 @@ def render_svg(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
         f'<text x="15" y="{margin + size / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 15 {margin + size / 2:.2f})">importance</text>'
     )
+    # Each distinct coordinate's texts, the point's and its label's, made once. Equal
+    # coordinates, 0.0 and -0.0 too, give equal texts.
+    xs, ys = {}, {}
     for profile in profiles:
-        x, y = sx(profile.e_r), sy(profile.e_w)
+        if profile.e_r not in xs:
+            x = sx(profile.e_r)
+            xs[profile.e_r] = x, f"{float(x) + 5:.2f}"
+        if profile.e_w not in ys:
+            y = sy(profile.e_w)
+            ys[profile.e_w] = y, f"{float(y) - 4:.2f}"
+        (x, label_x), (y, label_y) = xs[profile.e_r], ys[profile.e_w]
         parts.append(f'<circle class="pt" cx="{x}" cy="{y}" r="3"/>')
         label = profile.factor.id.translate(_SVG_TEXT)
-        parts.append(f'<text x="{float(x) + 5:.2f}" y="{float(y) - 4:.2f}">{label}</text>')
+        parts.append(f'<text x="{label_x}" y="{label_y}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

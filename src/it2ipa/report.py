@@ -6,9 +6,10 @@ import functools
 import json
 import math
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 
 from . import fixtures, ipamap, scoring
@@ -55,14 +56,16 @@ class Table:
 
 _str = encode_basestring_ascii  # a string's JSON text, for a table's "%s" field
 _AGGREGATED = dict.fromkeys(("factor", "name", "dimension", "importance", "performance"), "%s")
-_DEFUZZIFIED = {"factor": "%s", "importance": "%r", "performance": "%r",
-                **dict.fromkeys(ipamap.MapRegion._fields, "%s")}
+# The crisp values here and the CVRs in _COMPONENT are "%s" fields that ``_texts`` formats ahead.
+_DEFUZZIFIED = dict.fromkeys(("factor", "importance", "performance", *ipamap.MapRegion._fields),
+                             "%s")
 _SCORE = {"factor": "%s", "value": "%s"}
 _RANKING = {"position": "%d", "factor": "%s", "rank": "%r", "value": "%s",
             "breakdown": dict.fromkeys(scoring.RankBreakdown._fields, "%r")}
 _MAP_ENTRY = {"id": "%s", "importance": "%r", "performance": "%r"}
-_COMPONENT = {"id": "%s", "essential": "%d", "cvr": "%r", "passes": "%s"}
+_COMPONENT = {"id": "%s", "essential": "%d", "cvr": "%s", "passes": "%s"}
 _DIMENSION = {"dimension": "%s", "respondents": "%d", "items": "%d", "alpha": "%r", "passes": "%s"}
+_FUZZY = attrgetter("w_fuzzy", "r_fuzzy")  # a profile's two fuzzy values
 
 
 class IoFailureError(OSError):
@@ -193,11 +196,13 @@ class Report(namedtuple("Report", (
         }
         yield "aggregated", Table(_AGGREGATED, (
             (_str(p.factor.id), _str(p.factor.name), _str(p.factor.dimension),
-             _str(importance), _str(performance))
-            for p, importance, performance in _fuzzy_texts(self.profiles)
+             importance, performance)
+            for p, importance, performance in _pair_texts(_fuzzy_json, self.profiles, _FUZZY)
         ))
         yield "defuzzified", Table(_DEFUZZIFIED, (
-            (_str(p.factor.id), p.e_w, p.e_r, *map(_str, p.region)) for p in self.profiles
+            (_str(p.factor.id), importance, performance, *map(_str, p.region))
+            for p, importance, performance in _pair_texts(
+                _finite_text, self.profiles, attrgetter("e_w", "e_r"))
         ))
         yield "partition", {
             "mode": self.config.partition_mode,
@@ -231,34 +236,39 @@ class Report(namedtuple("Report", (
         return json.loads("".join(json_chunks(self.sections())))
 
 
-def _fuzzy_texts(profiles, decimals: int | None = None):
-    """Each profile, with its importance's and its performance's ``to_text(decimals)``.
+def _texts(format, values: list):
+    """``format`` of each of ``values``, in order.
 
-    The text of a value object that occurs more than once, as ``parse_aggregated``
-    shares one per distinct cell text, is formatted once. The memo is keyed by
-    identity, not by equality, because ``0.0`` and ``-0.0`` compare equal but
-    print differently. It holds only the repeated objects, and it is freed with
+    An object that occurs more than once in ``values`` is formatted once: a fuzzy
+    value that ``parse_aggregated`` shares between the cells of one text, the crisp
+    value that the place stage gives each fuzzy value object, or the CVR that the
+    psychometrics stage gives each distinct count. The memo is keyed by identity,
+    not by equality, because ``0.0`` and ``-0.0`` compare equal but print
+    differently. It holds only the repeated objects' texts, and it is freed with
     this iterator.
     """
-    seen, repeated = set(), set()
-    for p in profiles:
-        for key in (id(p.w_fuzzy), id(p.r_fuzzy)):
-            (repeated if key in seen else seen).add(key)
-    del seen  # freed before any text is built
-    texts = dict.fromkeys(repeated)  # None until the object is first formatted
-    del repeated
-
-    def text(value) -> str:
+    counts = Counter(map(id, values))
+    # the repeated objects, each None until it is first formatted
+    texts = dict.fromkeys(compress(counts, map((1).__lt__, counts.values())))
+    del counts  # freed before any text is built
+    for value in values:
         key = id(value)
-        formatted = texts.get(key)
-        if formatted is None:
-            formatted = value.to_text(decimals)
+        text = texts.get(key)
+        if text is None:
+            text = format(value)
             if key in texts:
-                texts[key] = formatted
-        return formatted
+                texts[key] = text
+        yield text
 
-    for p in profiles:
-        yield p, text(p.w_fuzzy), text(p.r_fuzzy)
+
+def _pair_texts(format, profiles, pair: attrgetter):
+    """Each profile, with ``format`` of each of the two values that ``pair`` reads from it."""
+    texts = _texts(format, list(chain.from_iterable(map(pair, profiles))))
+    return zip(profiles, texts, texts)  # two texts per profile, in order
+
+
+def _fuzzy_json(value) -> str:
+    return _str(value.to_text())
 
 
 def _scores_table(kind: str, fields: dict, ranking, rows) -> Table:
@@ -283,7 +293,8 @@ def _psychometrics_section(summary: PsychometricsSummary | None) -> dict:
             "threshold": summary.cvr_threshold,
             "components": Table(_COMPONENT, (
                 (_str(cid), essential, value, _BOOL[passes])
-                for cid, essential, value, passes in summary.components
+                for (cid, essential, _, passes), value in zip(summary.components, _texts(
+                    _finite_text, [value for _, _, value, _ in summary.components]))
             )),
         }
     if summary.dimensions:
@@ -297,18 +308,24 @@ def _psychometrics_section(summary: PsychometricsSummary | None) -> dict:
     return section
 
 
-def _summarize_psychometrics(path: str | Path | None) -> PsychometricsSummary | None:
-    """The psychometrics stage: the checks of the file at ``path``, or ``None`` without one."""
+def _summarize_psychometrics(path: str | Path | None, sort_key) -> PsychometricsSummary | None:
+    """The psychometrics stage: the checks of the file at ``path``, or ``None`` without one.
+
+    Components are in ``sort_key`` order of their ids. ``cvr`` runs once per
+    distinct essential count, and the components with that count share its value.
+    """
     if path is None:
         return None
     data, source = load_psychometrics(path), str(path)
-    components = []
-    for cid in sorted(data.essential_counts, key=factor_sort_key):
+    components, ratios = [], {}  # ratios: each essential count's CVR
+    for cid in sorted(data.essential_counts, key=sort_key):
         count = data.essential_counts[cid]
-        try:
-            value = cvr(count, data.panel_size)
-        except InvalidCountsError as exc:
-            raise InputFileError(source, f"component {cid}: {exc}") from exc
+        value = ratios.get(count)
+        if value is None:
+            try:
+                value = ratios[count] = cvr(count, data.panel_size)
+            except InvalidCountsError as exc:
+                raise InputFileError(source, f"component {cid}: {exc}") from exc
         components.append((cid, count, value, value > data.cvr_threshold))
     dimensions = []
     for name in sorted(data.dimension_scores):
@@ -383,11 +400,25 @@ def _read_input(scale, ratings_path, aggregated_path) -> tuple[list, str, bool]:
         Path(aggregated_path).resolve() == fixtures.aggregated_path().resolve())
 
 
-def _place(profiles, thresholds: MapThresholds) -> list[PlacedFactor]:
-    """The place stage: each profile in factor-id order, defuzzified and placed on the map."""
+def _place(profiles, thresholds: MapThresholds, sort_key) -> list[PlacedFactor]:
+    """The place stage: each profile in ``sort_key`` order of its id, defuzzified and placed.
+
+    ``dtrat`` runs once per fuzzy value object, and the profiles that share one,
+    as ``parse_aggregated`` shares them, share its crisp value. The memo is keyed
+    by identity, as in ``_texts``, and freed on return.
+    """
+    crisp = {}
+
+    def defuzzified(value) -> float:
+        key = id(value)
+        e = crisp.get(key)
+        if e is None:
+            e = crisp[key] = dtrat(value)
+        return e
+
     placed = []
-    for p in sorted(profiles, key=lambda p: factor_sort_key(p.factor.id)):
-        e_w, e_r = dtrat(p.w_fuzzy), dtrat(p.r_fuzzy)
+    for p in sorted(profiles, key=lambda p: sort_key(p.factor.id)):
+        e_w, e_r = defuzzified(p.w_fuzzy), defuzzified(p.r_fuzzy)
         placed.append(PlacedFactor(*p, e_w, e_r, ipamap.place(e_w, e_r, thresholds)))
     return placed
 
@@ -436,10 +467,13 @@ def run_pipeline(
     if ratings_path is not None and aggregated_path is not None:
         raise ValueError("give either a ratings file or an aggregated file, not both")
     profiles, source, bundled = _read_input(_scale(config.scale_path), ratings_path, aggregated_path)
+    # One sort key per id for the two stages that sort ids, most of them the same.
+    sort_key = functools.lru_cache(maxsize=None)(factor_sort_key)
     # Summarized before the factors are placed and scored, so that the score
     # grids are freed before those stages allocate.
-    psychometrics = _summarize_psychometrics(psychometrics_path)
-    placed = _place(profiles, config.thresholds)
+    psychometrics = _summarize_psychometrics(psychometrics_path, sort_key)
+    placed = _place(profiles, config.thresholds, sort_key)
+    sort_key.cache_clear()  # its keys are freed before the later stages allocate
     candidates, balanced = _partition(placed, config.partition_mode)
     rankings = _score_and_rank(candidates, config.cffs_mode, source)
     return Report(config, source, placed, candidates, balanced, rankings, psychometrics,
@@ -492,8 +526,9 @@ def _delimited_files(report: Report):
     yield "aggregated.csv", _delimited(
         dict.fromkeys(("factor_id", "name", "dimension", "importance", "performance"), "%s"),
         ((_field(p.factor.id), _field(p.factor.name), _field(p.factor.dimension),
-          _field(importance), _field(performance))
-         for p, importance, performance in _fuzzy_texts(report.profiles, nd)),
+          importance, performance)
+         for p, importance, performance in _pair_texts(
+             lambda value: _field(value.to_text(nd)), report.profiles, _FUZZY)),
     )
     yield "defuzzified.csv", _delimited(
         {"factor_id": "%s", "name": "%s", "dimension": "%s", "importance": f"%.{nd}f",
@@ -519,11 +554,13 @@ def _delimited_files(report: Report):
         )
     summary = report.psychometrics
     if summary is not None:
+        cvr_threshold = "%.6g" % summary.cvr_threshold
+        alpha_threshold = "%.6g" % summary.alpha_threshold
         yield "psychometrics.csv", _delimited(
-            {"metric": "%s", "id": "%s", "value": "%.6f", "threshold": "%.6g", "passes": "%s"},
-            chain((("cvr", _field(cid), value, summary.cvr_threshold, _BOOL[passes])
+            {"metric": "%s", "id": "%s", "value": "%.6f", "threshold": "%s", "passes": "%s"},
+            chain((("cvr", _field(cid), value, cvr_threshold, _BOOL[passes])
                    for cid, _, value, passes in summary.components),
-                  (("cronbach_alpha", _field(name), alpha, summary.alpha_threshold, _BOOL[passes])
+                  (("cronbach_alpha", _field(name), alpha, alpha_threshold, _BOOL[passes])
                    for name, _, _, alpha, passes in summary.dimensions)),
         )
 
@@ -532,6 +569,11 @@ def _float_text(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     return float.__repr__(value)
+
+
+def _finite_text(value: float) -> str:
+    """What a ``%r`` field of a ``Table`` writes of ``value``, for ``_texts`` to format ahead."""
+    return repr(value) if math.isfinite(value) else _float_text(value)  # which raises
 
 
 _BOOL = {True: "true", False: "false"}

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from itertools import compress
 
 from . import numbers
 from .numbers import IT2TrapFN
@@ -113,6 +116,10 @@ def rank_value(a: IT2TrapFN) -> RankBreakdown:
                          h1u, h2u, h1l, h2l, rank)
 
 
+def _negated_rank(rf: RankedFactor) -> float:
+    return -rf.rank
+
+
 def rank_order(scores: list[FuzzyScore]) -> list[RankedFactor]:
     """Order scores of one kind by descending rank value.
 
@@ -129,5 +136,11 @@ def rank_order(scores: list[FuzzyScore]) -> list[RankedFactor]:
             kind = f"{rf.score.mode} {rf.score.kind}" if rf.score.mode else rf.score.kind
             raise NonFiniteScoreError(f"factor {rf.factor.id}: {kind} score: "
                                       f"{rf.score.value.to_text()} has no finite rank value")
-    ranked.sort(key=lambda rf: (-rf.rank, factor_sort_key(rf.factor.id)))
+    # By rank alone, then each run of equal ranks by id: the order of the key
+    # (-rank, factor_sort_key(id)), with a sort key only for the tied scores.
+    ranked.sort(key=_negated_rank)
+    keys = list(map(_negated_rank, ranked))
+    for key in set(compress(keys, map(operator.eq, keys, keys[1:]))):  # each tied rank
+        start, end = bisect_left(keys, key), bisect_right(keys, key)
+        ranked[start:end] = sorted(ranked[start:end], key=lambda rf: factor_sort_key(rf.factor.id))
     return ranked

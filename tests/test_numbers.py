@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -56,6 +57,19 @@ def per_value_text(value: IT2TrapFN, decimals: int | None) -> str:
     parts = [f"({','.join(map(fmt, t.endpoints))};{','.join(map(fmt, t.heights))})"
              for t in (value.upper, value.lower)]
     return f"({parts[0]},{parts[1]})"
+
+
+_TRAILING_ZEROS = re.compile(r"\.?0+(?=[,;)])")
+_NEGATIVE_ZERO = re.compile(r"-0(?=[,;)])")
+
+
+def rounded_text_by_regex(value: IT2TrapFN, decimals: int) -> str:
+    """``to_text(decimals)`` as it was when one regex stripped the zeros: the reference."""
+    text = ("(({0},{0},{0},{0};{0},{0}),({0},{0},{0},{0};{0},{0}))".format(f"%.{decimals}f")
+            % (*value.upper, *value.lower))
+    if decimals > 0:  # every number has a point, so only zeros after it can end one
+        text = _TRAILING_ZEROS.sub("", text)
+    return _NEGATIVE_ZERO.sub("0", text) if "-0" in text else text
 
 
 class TestConstruction:
@@ -136,6 +150,19 @@ class TestCanonicalText:
     def test_text_equals_per_value_formatting(self, ends, heights, decimals):
         value = IT2TrapFN(Trapezoid(*ends[:4], *heights[:2]), Trapezoid(*ends[4:], *heights[2:]))
         assert value.to_text(decimals) == per_value_text(value, decimals)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.one_of(st.floats(), st.floats(-2.0, 2.0), st.integers(-10**6, 10**6),
+                           st.sampled_from([0.0, -0.0, 1e16, -1e16, 5e-4, -5e-4, 4.9e-4, 1e-7])),
+                 min_size=8, max_size=8),
+        st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), st.just(1)),
+                 min_size=4, max_size=4),
+        st.integers(0, 6),
+    )
+    def test_rounded_text_equals_the_regex_strip(self, ends, heights, decimals):
+        value = IT2TrapFN(Trapezoid(*ends[:4], *heights[:2]), Trapezoid(*ends[4:], *heights[2:]))
+        assert value.to_text(decimals) == rounded_text_by_regex(value, decimals)
 
     @pytest.mark.parametrize("text", ["", "(1,2,3,4)", "((1,2,3;1,1),(1,2,3,4;1,1))", "nonsense"])
     def test_parse_rejects_malformed(self, text):
@@ -437,6 +464,98 @@ class TestMeanBits:
                     min_size=1, max_size=60))
     def test_equals_the_exact_mean_field_by_field(self, values):
         assert_same_bits(mean(values), exact_mean(values))
+
+
+def pairwise_reference(a: IT2TrapFN, b: IT2TrapFN, op, cross: bool = False) -> IT2TrapFN:
+    """``numbers._pairwise`` as ``mul`` and ``div`` went through it before they were
+    written out: ``op`` on each endpoint pair, heights by minimum."""
+    def trap(x: Trapezoid, y: Trapezoid) -> Trapezoid:
+        ys = y[3::-1] if cross else y[:4]
+        return Trapezoid(*map(op, x[:4], ys), min(x.h1, y.h1), min(x.h2, y.h2))
+
+    return IT2TrapFN(trap(a.upper, b.upper), trap(a.lower, b.lower))
+
+
+def mul_reference(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
+    if a.upper.a1 < 0 or b.upper.a1 < 0:
+        raise NegativeSupportError(
+            f"multiplication needs non-negative supports, got lower bounds "
+            f"{a.upper.a1} and {b.upper.a1}"
+        )
+    return pairwise_reference(a, b, operator.mul)
+
+
+def div_reference(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
+    low = min(b.upper.endpoints + b.lower.endpoints)
+    if low <= 0:
+        raise DivisorSpansZeroError(
+            f"divisor support must be strictly positive, got lower bound {low}"
+        )
+    return pairwise_reference(a, b, operator.truediv, cross=True)
+
+
+def kernel_outcome(op, a, b):
+    """Every field of ``op(a, b)`` by ``float.hex``, and its warnings; or its error."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            result = op(a, b)
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+    return ([float.hex(float(x)) for x in result.upper + result.lower],
+            [(w.category, str(w.message)) for w in record])
+
+
+# Signed zeros, subnormals, the float range's edges, infinities and NaN as endpoints
+_KERNEL_ENDS = st.one_of(
+    st.floats(), st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+)
+_KERNEL_TRAP = st.builds(Trapezoid, _KERNEL_ENDS, _KERNEL_ENDS, _KERNEL_ENDS, _KERNEL_ENDS,
+                         _HEIGHTS, _HEIGHTS)
+_KERNEL_VALUES = st.builds(IT2TrapFN, _KERNEL_TRAP, _KERNEL_TRAP) | raw_it2(0.0, 1.0)
+
+
+class TestKernelsAgainstPairwise:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_KERNEL_VALUES, _KERNEL_VALUES)
+    def test_mul_equals_the_pairwise_rule_bit_for_bit(self, a, b):
+        assert kernel_outcome(mul, a, b) == kernel_outcome(mul_reference, a, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_KERNEL_VALUES, _KERNEL_VALUES)
+    def test_div_equals_the_pairwise_rule_bit_for_bit(self, a, b):
+        got = kernel_outcome(div, a, b)
+        want = kernel_outcome(div_reference, a, b)
+        if isinstance(want[0], list):  # the reference's result, and whether div warns on it
+            warning = (OrderingViolatedWarning,
+                       "div produced non-monotone endpoints; raw tuple returned")
+            want = (want[0], [] if div_reference(a, b).is_ordered else [warning])
+        assert got == want
+
+    @pytest.mark.parametrize("a,b,error", [
+        (it2((-0.0, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1)), CRISP_ONE, None),
+        (it2((-1e-300, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1)), CRISP_ONE, NegativeSupportError),
+        (CRISP_ONE, it2((math.nan, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1)), None),
+    ], ids=["negative-zero", "negative-subnormal", "nan-support"])
+    def test_mul_errors(self, a, b, error):
+        got = kernel_outcome(mul, a, b)
+        assert got == kernel_outcome(mul_reference, a, b)
+        assert (got[0] is error) if error else isinstance(got[0], list)
+
+    @pytest.mark.parametrize("b,error", [
+        (it2((math.nan, 0.0, 1, 1, 1, 1), (0.5, 0.5, 1, 1, 1, 1)), ZeroDivisionError),
+        (it2((0.5, 0.5, 1, 1, 1, 1), (0.5, 0.5, 1, -0.0, 1, 1)), DivisorSpansZeroError),
+        (it2((5e-324, 5e-324, 1, 1, 1, 1), (5e-324, 5e-324, 1, 1, 1, 1)), None),
+    ], ids=["nan-hides-a-zero", "negative-zero", "subnormal"])
+    def test_div_errors(self, b, error):
+        got, want = kernel_outcome(div, CRISP_ONE, b), kernel_outcome(div_reference, CRISP_ONE, b)
+        assert got[0] == want[0]  # the error's type, or every field by float.hex
+        if error:
+            assert got == want and got[0] is error
+        else:
+            assert isinstance(got[0], list)
 
 
 SLACK = 1e-12

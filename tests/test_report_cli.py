@@ -411,6 +411,51 @@ class TestEmit:
             f"f1,f1,general,{rounded},{rounded}", f"f2,f2,general,{rounded},{rounded}"
         ]
 
+        # One more input: one importance value shared by 30 factors, performance values
+        # equal but distinct (0.0 and -0.0 endpoints) and each shared by 15, and CVR
+        # counts that repeat. Every crisp and CVR field is its own value's text.
+        shared = "((0.3,0.5,0.5,0.7;1.0,1.0),(0.4,0.5,0.5,0.6;0.9,0.9))"
+        path.write_text("factor_id,importance,performance\n" + "".join(
+            f'g{i},"{shared}","{(zero, negative)[i % 2]}"\n' for i in range(30)))
+        psychometrics = tmp_path / "psy.json"
+        psychometrics.write_text(json.dumps({
+            "content_validity": {"panel_size": 7, "essential_counts": {
+                f"g{i}": i % 4 * 2 for i in range(30)}},
+            "reliability": {"dimensions": {"D": [[1, 2], [2, 2], [3, 5]]}},
+        }))
+        report = run_pipeline(PipelineConfig(), aggregated_path=path,
+                              psychometrics_path=psychometrics)
+        out = tmp_path / "shared"
+        emit(report, out, REPORT_FORMATS)
+        profiles, summary = report.profiles, report.psychometrics
+        doc = json.loads((out / "report.json").read_text(), parse_float=str)  # floats as written
+        assert [(r["importance"], r["performance"]) for r in doc["defuzzified"]] == [
+            (repr(p.e_w), repr(p.e_r)) for p in profiles]
+        crisp = {p.factor.id: (repr(p.e_w), repr(p.e_r)) for p in profiles}
+        entries = [e for region in doc["map"]["regions"] for e in region["factors"]]
+        assert sorted((e["id"], (e["importance"], e["performance"])) for e in entries) == sorted(
+            crisp.items())
+        components = doc["psychometrics"]["content_validity"]["components"]
+        assert [row["cvr"] for row in components] == [
+            repr(value) for _, _, value, _ in summary.components]
+        assert len({row["cvr"] for row in components}) == 4
+        rows = [line.split(",") for line in (out / "defuzzified.csv").read_text().splitlines()[1:]]
+        assert [row[3:5] for row in rows] == [["%.3f" % p.e_w, "%.3f" % p.e_r] for p in profiles]
+        rows = [line.split(",") for line in (out / "psychometrics.csv").read_text().splitlines()]
+        assert [row[2:4] for row in rows[1:]] == [
+            *(["%.6f" % value, "%.6g" % summary.cvr_threshold]
+              for _, _, value, _ in summary.components),
+            *(["%.6f" % alpha, "%.6g" % summary.alpha_threshold]
+              for _, _, _, alpha, _ in summary.dimensions),
+        ]
+        svg = ElementTree.parse(out / "map.svg").getroot()
+        points = [(e.get("cx"), e.get("cy")) for e in svg if e.tag.endswith("circle")]
+        assert points == [(f"{70 + p.e_r * 500:.2f}", f"{70 + (1 - p.e_w) * 500:.2f}")
+                          for p in profiles]
+        labels = [(e.get("x"), e.get("y")) for e in svg
+                  if e.tag.endswith("text") and e.text in crisp]
+        assert labels == [(f"{float(x) + 5:.2f}", f"{float(y) - 4:.2f}") for x, y in points]
+
     def test_an_empty_out_dir_is_refused(self, tmp_path, monkeypatch):
         # '' is not the working directory
         monkeypatch.chdir(tmp_path)
@@ -419,12 +464,14 @@ class TestEmit:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_structured_emit_leaves_no_file(self, tmp_path):
-        summary = PsychometricsSummary("psy.json", 0, 0.59, [], 0.7,
-                                       [("D", 3, 2, float("nan"), False)])
-        report = run_default()._replace(psychometrics=summary)
-        with pytest.raises(ValueError, match="Out of range float"):
-            emit(report, tmp_path, [STRUCTURED])
-        assert list(tmp_path.iterdir()) == []
+        # a NaN alpha, and a NaN CVR, whose text is formatted ahead of its row
+        for components, dimensions in (([], [("D", 3, 2, float("nan"), False)]),
+                                       ([("c", 3, float("nan"), False)], [])):
+            summary = PsychometricsSummary("psy.json", 5, 0.59, components, 0.7, dimensions)
+            report = run_default()._replace(psychometrics=summary)
+            with pytest.raises(ValueError, match="Out of range float"):
+                emit(report, tmp_path, [STRUCTURED])
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fid,label", [
         ("a&b<c>", "a&b<c>"), ("a\x00b", "a\ufffdb"), ("\x01", "\ufffd"), ("a\uffffb", "a\ufffdb"),

@@ -7,7 +7,7 @@ from functools import reduce
 from statistics import pstdev
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from it2ipa import (
@@ -25,7 +25,8 @@ from it2ipa import (
 )
 from it2ipa import numbers, scoring
 from it2ipa.numbers import Trapezoid
-from it2ipa.scoring import NonFiniteScoreError, RankBreakdown
+from it2ipa.scoring import NonFiniteScoreError, RankBreakdown, RankedFactor
+from it2ipa.survey import factor_sort_key
 from helpers import assert_it2_close, it2_values, random_it2
 
 F = Factor("f", "f", "d")
@@ -310,3 +311,70 @@ class TestRankOrder:
         fine = FuzzyScore(Factor("g", "g", "d"), "failure", terms["Low"], mode="as_computed")
         with pytest.raises(NonFiniteScoreError, match="factor f: as_computed failure score"):
             rank_order([fine, huge])
+
+
+def rank_order_by_composite_key(scores: list[FuzzyScore]) -> list[RankedFactor]:
+    """``rank_order`` as it was before it sorted only the tied scores by id: the reference.
+
+    One sort by the key ``(-rank, factor_sort_key(id))``, which computes a sort key for
+    every score.
+    """
+    kinds = {score.kind for score in scores}
+    if len(kinds) > 1:
+        raise MixedKindsError(f"cannot rank mixed kinds together: {sorted(kinds)}")
+    ranked = [RankedFactor(s, rank_value(s.value)) for s in scores]
+    for rf in ranked:
+        if not math.isfinite(rf.rank):
+            kind = f"{rf.score.mode} {rf.score.kind}" if rf.score.mode else rf.score.kind
+            raise NonFiniteScoreError(f"factor {rf.factor.id}: {kind} score: "
+                                      f"{rf.score.value.to_text()} has no finite rank value")
+    ranked.sort(key=lambda rf: (-rf.rank, factor_sort_key(rf.factor.id)))
+    return ranked
+
+
+def outcome(rank, scores):
+    """What ``rank`` gives for ``scores``: the scores in order, by identity, or its error."""
+    try:
+        return [id(rf.score) for rf in rank(scores)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Ids that sort apart only by their text (x2, x02, x٢) or by their numbers (x2, x10).
+TIED_IDS = st.sampled_from(["x2", "x10", "x02", "x\u0662", "x1", "x01", "x\u0661", "x", "x_3",
+                            "x\u00b2", "y", "", "10", "x2a"])
+ENDS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324, 1e200, -1e200]))
+RAW = st.builds(IT2TrapFN, raw_trapezoids(ENDS), raw_trapezoids(ENDS))
+# 1e200 overflows the squared deviations of the rank value, and inf or NaN makes it not finite
+OVERFLOWING = st.builds(IT2TrapFN, raw_trapezoids(st.floats()), raw_trapezoids(st.floats()))
+
+
+@st.composite
+def score_lists(draw):
+    """Success or failure scores of one kind: raw values, a pool of five, or any floats."""
+    kind = draw(st.sampled_from(["success", "failure"]))
+    mode = None if kind == "success" else "as_computed"
+    pool = draw(st.lists(RAW, min_size=5, max_size=5))
+    values = draw(st.sampled_from([RAW, st.sampled_from(pool), st.one_of(RAW, OVERFLOWING)]))
+    ids = draw(st.sampled_from([TIED_IDS, st.text(max_size=4)]))
+    return [FuzzyScore(Factor(fid, "", "d"), kind, value, mode)
+            for fid, value in draw(st.lists(st.tuples(ids, values), max_size=40))]
+
+
+class TestRankOrderOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(score_lists(), st.randoms(use_true_random=False))
+    def test_equals_the_composite_key_order(self, scores, rng):
+        assert outcome(rank_order, scores) == outcome(rank_order_by_composite_key, scores)
+        rng.shuffle(scores)
+        assert outcome(rank_order, scores) == outcome(rank_order_by_composite_key, scores)
+
+    def test_a_pool_of_tied_ranks_sorts_each_run_by_id(self):
+        low = it2((0.1, 0.2, 0.3, 0.4, 1, 1), (0.2, 0.2, 0.3, 0.3, 0.9, 0.9))
+        high = IT2TrapFN.crisp(0.5)
+        ids = ["x10", "x2", "x02", "x\u0662", "x1"]
+        scores = [FuzzyScore(Factor(fid, "", "d"), "success", value)
+                  for fid in ids for value in (low, high)]
+        order = [(rf.factor.id, rf.score.value is high) for rf in rank_order(scores)]
+        assert order == [(fid, True) for fid in ["x1", "x02", "x2", "x\u0662", "x10"]] + [
+            (fid, False) for fid in ["x1", "x02", "x2", "x\u0662", "x10"]]

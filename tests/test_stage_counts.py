@@ -85,6 +85,12 @@ def test_each_stage_runs_once(calls, tmp_path, case):
         for kind, ids in scored.items():
             ids.update(report.comparison[kind]["reference_candidates"])
     summary = report.psychometrics
+    # dtrat runs once per fuzzy value object (parse_aggregated shares one per
+    # distinct cell text; aggregate makes one per row), and cvr once per count
+    values = len({id(v) for p in report.profiles for v in (p.w_fuzzy, p.r_fuzzy)})
+    assert values == {"bundled": 20, "ratings": 40, "aggregated": 60}[case]
+    counts = len({essential for _, essential, _, _ in summary.components}) if summary else 0
+    assert counts == {"aggregated": 12}.get(case, 0)  # of 40 components
     expected = {
         **{f"it2ipa.report:{stage}": 1 for stage in STAGES},
         "it2ipa.report:_reference_comparison": int(bundled),
@@ -95,9 +101,9 @@ def test_each_stage_runs_once(calls, tmp_path, case):
         "it2ipa.report:aggregate": int(ratings),
         "it2ipa.report:parse_aggregated": int(not ratings),
         "it2ipa.report:load_psychometrics": int(summary is not None),
-        "it2ipa.report:cvr": len(summary.components) if summary else 0,
+        "it2ipa.report:cvr": counts,
         "it2ipa.report:cronbach_alpha": len(summary.dimensions) if summary else 0,
-        "it2ipa.report:dtrat": 2 * factors,
+        "it2ipa.report:dtrat": values,
         "it2ipa.ipamap:place": factors,
         "it2ipa.ipamap:partition": 1,
         "it2ipa.scoring:success_score": len(scored["success"]),
