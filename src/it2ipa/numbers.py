@@ -12,6 +12,7 @@ tuples.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -272,46 +273,64 @@ def _non_finite_sum(ends) -> float:
     return odd[0] if all(x == odd[0] for x in odd) else math.nan  # NaN equals nothing
 
 
-def mean_terms(value: IT2TrapFN) -> tuple:
-    """What ``counted_mean`` adds of ``value``: a power-of-two denominator, the eight
-    endpoints as exact integers over it (None where NaN or infinite), the eight endpoints
-    as they are, then the four heights.
+def _float_ratio(x) -> tuple:
+    x = float(x)
+    return x.as_integer_ratio() if math.isfinite(x) else (None, 1)
 
-    Every finite float is an integer over a power of two, so the denominator is the
-    largest of the eight endpoints' own.
+
+def exact_integers(values) -> tuple[int, list]:
+    """``values`` as exact integers over one power of two, each int as it is and any other
+    number as ``float(x)``: the largest of their denominators, and each value's numerator
+    over it (None for a NaN or an infinity). Every finite float is an integer over a power
+    of two. ``float`` may raise ``TypeError``, ``ValueError`` or ``OverflowError``.
     """
-    ends = value.upper[:4] + value.lower[:4]
-    ratios = [x.as_integer_ratio() if math.isfinite(x) else None for x in ends]
-    denominator = max((r[1] for r in ratios if r), default=1)
-    numerators = [r and r[0] * (denominator // r[1]) for r in ratios]
-    return (denominator, *numerators, *ends, *value.upper[4:], *value.lower[4:])
+    ratios = [x.as_integer_ratio() if type(x) is float and math.isfinite(x) or type(x) is int
+              else _float_ratio(x) for x in values]
+    denominator = max(map(operator.itemgetter(1), ratios), default=1)
+    shift = denominator.bit_length()
+    return denominator, [n and n << (shift - d.bit_length()) for n, d in ratios]
 
 
-def counted_mean(terms, counts) -> IT2TrapFN:
-    """The mean of ``counts[i]`` copies of the value of each ``terms[i]`` (``mean_terms``).
+def mean_terms(values) -> tuple[int, list]:
+    """What ``counted_mean`` adds of each of ``values``: one denominator for them all
+    (``exact_integers`` of every endpoint), and per value a tuple of its eight endpoints
+    as integers over it (None where NaN or infinite), its four heights, then its eight
+    endpoints as they are.
 
-    Each endpoint is the exact sum, ``Σ count × numerator`` over Python ints on the
-    largest denominator of ``terms``, divided once by the total count times that
-    denominator: an int/int true division, so it is the exact mean rounded once,
-    whatever the order of ``terms``. A zero sum is ``-0.0`` exactly when every addend
-    is ``-0.0``, as in IEEE addition. A NaN, or both infinities, give NaN, and one
-    infinity gives itself. Heights are the minimum. ``counts`` is read twice.
+    One endpoint over a large denominator puts every value there: a subnormal endpoint
+    puts them all over 2**1074, and each sum then adds integers of over 1000 bits.
+    """
+    ends = [value.upper[:4] + value.lower[:4] for value in values]
+    denominator, numerators = exact_integers(itertools.chain.from_iterable(ends))
+    return denominator, [(*numerators[8 * i:8 * i + 8], *value.upper[4:], *value.lower[4:], *e)
+                         for i, (value, e) in enumerate(zip(values, ends))]
+
+
+def counted_mean(denominator: int, terms, counts) -> IT2TrapFN:
+    """The mean of ``counts[i]`` copies of the value of each ``terms[i]``, all from one
+    ``mean_terms`` call, whose denominator is ``denominator``.
+
+    Each endpoint is the exact sum ``Σ count × numerator`` over Python ints, divided once
+    by the total count times ``denominator``: an int/int true division, so it is the
+    exact mean rounded once, whatever the order of ``terms``. A zero sum is ``-0.0``
+    exactly when every addend is ``-0.0``, as in IEEE addition. A NaN, or both
+    infinities, give NaN, and one infinity gives itself. Heights are the minimum.
+    ``counts`` is read twice.
     """
     columns = list(zip(*terms))
-    unit = max(columns[0])
-    weights = [count * (unit // denominator) for count, denominator in zip(counts, columns[0])]
-    denominator = sum(counts) * unit
+    denominator *= sum(counts)
     ends = []
-    for numerators, floats in zip(columns[1:9], columns[9:17]):
-        if None in numerators:
-            ends.append(_non_finite_sum(floats))
+    for j, numerators in enumerate(columns[:8]):
+        try:
+            total = sum(map(operator.mul, counts, numerators))
+        except TypeError:  # a None: a NaN or an infinity
+            ends.append(_non_finite_sum(columns[12 + j]))
             continue
-        total = sum(map(operator.mul, weights, numerators))
         if total:
             ends.append(total / denominator)
         else:
-            ends.append(-0.0 if all(math.copysign(1.0, x) < 0 for x in floats) else 0.0)
-    h1u, h2u, h1l, h2l = map(min, columns[17:])
+            ends.append(-0.0 if all(math.copysign(1.0, x) < 0 for x in columns[12 + j]) else 0.0)
+    h1u, h2u, h1l, h2l = map(min, columns[8:12])
     return IT2TrapFN(Trapezoid(*ends[:4], h1u, h2u), Trapezoid(*ends[4:], h1l, h2l))
 
 
@@ -326,7 +345,7 @@ def mean(values) -> IT2TrapFN:
     m = len(values)
     if m < 1:
         raise InvalidDivisorError("the mean needs at least one value")
-    return counted_mean(list(map(mean_terms, values)), [1] * m)
+    return counted_mean(*mean_terms(values), [1] * m)
 
 
 def one_minus(a: IT2TrapFN) -> IT2TrapFN:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import re
 from collections import Counter, namedtuple
 from contextlib import closing, suppress
@@ -66,14 +67,18 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
     blank cells before any of its labels is resolved; then each cell is
     resolved with its own ``lookup`` call, in expert order, so an unknown
     label names its factor, expert and facet, and the first bad cell of a row
-    is the one reported. The row is then counted by label text, and each
-    distinct text's value is turned into exact terms (``numbers.mean_terms``)
-    once per call, so the sums run over the counts.
+    is the one reported. The row is then counted by label text. The scale's
+    values are turned into exact terms over one denominator once per call
+    (``numbers.mean_terms``), so the sums run over the counts.
     """
     if not matrix.factors or not matrix.experts:
         raise EmptyMatrixError("rating matrix needs at least one factor and one expert")
 
     m = len(matrix.experts)
+    scale_values = [value for _, value in scale.terms]
+    denominator, scale_terms = numbers.mean_terms(scale_values)
+    # ``lookup`` returns the scale's own value objects
+    by_value = dict(zip(map(id, scale_values), scale_terms))
     terms = {}  # label text -> the mean terms of its value
     profiles = []
     for i, factor in enumerate(matrix.factors):
@@ -99,8 +104,8 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
                 ) from None
             counts = Counter(row)
             for label in counts.keys() - terms.keys():
-                terms[label] = numbers.mean_terms(values[row.index(label)])
-            means[facet] = numbers.counted_mean(list(map(terms.__getitem__, counts)),
+                terms[label] = by_value[id(values[row.index(label)])]
+            means[facet] = numbers.counted_mean(denominator, list(map(terms.__getitem__, counts)),
                                                 counts.values())
         profiles.append(FactorProfile(factor, means[IMPORTANCE], means[PERFORMANCE]))
     return profiles
@@ -116,46 +121,19 @@ def cvr(n_essential: int, n_panel: int) -> float:
     return (2 * n_essential - n_panel) / n_panel
 
 
-# Ints below it in magnitude take ``cronbach_alpha``'s counted kernel: each is an exact
-# float, and so is a row total of fewer than 2**27 of them.
-_COUNTED_BOUND = 2**26
-
-
-def _sample_variance(values) -> float:
-    # two-pass form: the mean first, then the squared deviations from it
-    mean = math.fsum(values) / len(values)
-    deviations = [v - mean for v in values]
-    return math.fsum(d * d for d in deviations) / (len(values) - 1)
-
-
-def _counted_variance(counts: Counter, n: int) -> float:
-    """``_sample_variance`` of ``n`` ints from their value counts, bit for bit.
-
-    ``fsum`` returns its addends' exact sum rounded once, so each sum here is
-    the exact integer sum of the same rounded floats over one power-of-two
-    denominator, rounded once by an int/int true division.
-    """
-    mean = float(sum(v * c for v, c in counts.items())) / n
-    squares = []  # (count, numerator, denominator) of each distinct value's d * d
-    for v, c in counts.items():
-        d = float(v) - mean
-        squares.append((c, *(d * d).as_integer_ratio()))
-    denominator = max(den for _, _, den in squares)
-    exact = sum(c * num * (denominator // den) for c, num, den in squares)
-    return exact / denominator / (n - 1)
-
-
 def cronbach_alpha(scores) -> float:
     """Internal-consistency coefficient over a respondents x items grid.
 
-    Uses the variance form with sample (N-1) variances. Requires at least
-    two respondents, two items, and nonzero total-score variance; any other
-    grid, one with a cell that is text or not a finite number, or one of
-    numbers too large for float arithmetic, raises ``DegenerateDataError``. A
-    grid whose items hold only exact ints below 2**26 in magnitude (Likert
-    answers, as ``json.loads`` leaves them) has its variances computed from
-    each item's value counts; any other grid is converted to floats. Both give
-    the same value, bit for bit.
+    The variance form with sample (N-1) variances, computed exactly and rounded
+    once. Each cell is an integer over one power of two: an int as it is, any
+    other number as ``float(cell)`` (``numbers.exact_integers``). With n
+    respondents and k items, the column sums S_i and sums of squares Q_i give
+    A = sum(n Q_i - S_i**2), the respondent totals T_r give B = n sum(T_r**2) -
+    (sum T_r)**2, and alpha is the int/int true division k (B - A) / ((k - 1) B),
+    whatever the order of the cells. A grid of fewer than two respondents or
+    two items, a ragged one, one with a cell that is not a number, whose float
+    is not finite or overflows, one with no total variance (B = 0), or one whose
+    alpha lies beyond the float range raises ``DegenerateDataError``.
     """
     try:
         rows = [row if type(row) is list else list(row) for row in scores]
@@ -166,45 +144,50 @@ def cronbach_alpha(scores) -> float:
         raise DegenerateDataError(
             f"need a rectangular grid of >= 2 respondents x >= 2 items, got {n} rows"
         )
+    columns = list(zip(*rows))
     try:
-        columns = list(map(Counter, zip(*rows)))
-        # a cell equal to an earlier int of its column (a later True after a 1)
-        # counts as that int; a float cell makes its row's total a float
-        totals = all(type(v) is int and -_COUNTED_BOUND < v < _COUNTED_BOUND
-                     for counts in columns for v in counts) and Counter(map(sum, rows))
-    except TypeError:  # an unhashable cell, which ``float`` takes or refuses below
-        totals = None
-    if totals and {int}.issuperset(map(type, totals)):
-        item_variance = math.fsum(_counted_variance(counts, n) for counts in columns)
-        total_variance = _counted_variance(totals, n)
-    else:
-        # ``float`` reads text too: take only what it converts as a number
-        kinds = {kind.__name__ for kind in set(map(type, itertools.chain.from_iterable(rows)))
-                 if not hasattr(kind, "__float__") and not hasattr(kind, "__index__")}
-        if kinds:
-            raise DegenerateDataError(f"scores grid is not numeric: a cell of type {min(kinds)!r}")
+        sums = list(map(sum, columns))
+    except (TypeError, ArithmeticError):  # e.g. a text cell, or a signaling-NaN Decimal
+        sums = [None]
+    # a column sums to an int only when its cells are ints (or bools), and to a float
+    # only when they are numbers that ``float`` takes
+    kinds = set(map(type, sums))
+    if not {int}.issuperset(kinds):
+        cells = list(itertools.chain.from_iterable(columns))
+        if not {int, float}.issuperset(kinds):
+            # ``float`` reads text too: take only what it converts as a number
+            odd = {kind.__name__ for kind in set(map(type, cells))
+                   if not hasattr(kind, "__float__") and not hasattr(kind, "__index__")}
+            if odd:
+                raise DegenerateDataError(
+                    f"scores grid is not numeric: a cell of type {min(odd)!r}"
+                )
         try:
-            grid = [list(map(float, row)) for row in rows]
+            _, numerators = numbers.exact_integers(cells)
         except (TypeError, ValueError) as exc:
             raise DegenerateDataError(f"scores grid is not numeric: {exc}") from exc
-        except OverflowError as exc:  # an int past the float range
+        except OverflowError as exc:  # e.g. a Fraction past the float range
             raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
-        try:
-            item_variance = math.fsum(map(_sample_variance, zip(*grid)))
-            total_variance = _sample_variance(list(map(math.fsum, grid)))
-            if not math.isfinite(item_variance + total_variance):
-                raise OverflowError("a variance is not finite")
-        except (OverflowError, ValueError) as exc:
-            cell = next((v for v in itertools.chain.from_iterable(grid) if not math.isfinite(v)), None)
-            if cell is not None:
-                raise DegenerateDataError(f"a score is not a finite number: {cell!r}") from exc
-            raise DegenerateDataError(f"scores too large for float arithmetic: {exc}") from exc
-    if total_variance <= 0:
+        if None in numerators:
+            raise DegenerateDataError(
+                f"a score is not a finite number: {cells[numerators.index(None)]!r}"
+            )
+        columns = [numerators[i:i + n] for i in range(0, n * k, n)]
+        sums = list(map(sum, columns))
+        rows = list(zip(*columns))
+    totals = list(map(sum, rows))
+    squares = sum(sum(map(operator.mul, c, c)) for c in columns)
+    a = n * squares - sum(map(operator.mul, sums, sums))
+    b = n * sum(map(operator.mul, totals, totals)) - sum(totals) ** 2
+    if not b:
         raise DegenerateDataError("total-score variance is zero")
-    alpha = k / (k - 1) * (1.0 - item_variance / total_variance)
-    if not math.isfinite(alpha):  # the item variances over a subnormal total variance
-        raise DegenerateDataError(f"total-score variance {total_variance!r} is too small to divide by")
-    return alpha
+    try:
+        return k * (b - a) / ((k - 1) * b)
+    except OverflowError:
+        raise DegenerateDataError(
+            "total-score variance is too small against the item variances: "
+            "alpha is beyond the float range"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +453,7 @@ def load_psychometrics(path: str | Path) -> Psychometrics:
             raise InputFileError(path, "reliability needs a 'dimensions' object")
         for dim, grid in grids.items():
             _check_name(path, "dimension", dim)
-            # checked and kept as decoded: ``cronbach_alpha`` counts an int grid's values
+            # checked and kept as decoded: ``cronbach_alpha`` takes each int as it is
             try:
                 if type(grid) is not list or not {list}.issuperset(map(type, grid)):
                     raise TypeError("the grid and each row must be JSON arrays")

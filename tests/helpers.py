@@ -67,6 +67,34 @@ def exact_mean(values) -> IT2TrapFN:
     return IT2TrapFN(trap(uppers), trap(lowers))
 
 
+def exact_alpha(grid) -> float:
+    """Cronbach's alpha in exact arithmetic, rounded once: each cell a ``Fraction``, an
+    int as it is and any other number as ``float(cell)``, and sample variances.
+
+    Raises ``ZeroDivisionError`` with no total variance, ``OverflowError`` when alpha is
+    beyond the float range, and ``ValueError`` for a NaN or infinite cell.
+    """
+    rows = [[Fraction(v if type(v) is int else float(v)) for v in row] for row in grid]
+    n, k = len(rows), len(rows[0])
+
+    def variance(xs) -> Fraction:
+        mean = sum(xs) / n
+        return sum((x - mean) ** 2 for x in xs) / (n - 1)
+
+    items = sum(map(variance, zip(*rows)))
+    total = variance(list(map(sum, rows)))
+    return float(Fraction(k, k - 1) * (1 - items / total))
+
+
+def exact_dtrat(value: IT2TrapFN) -> Fraction:
+    """DTraT in exact arithmetic: the mean of each trapezoid's height-weighted quarter sum."""
+    def quarter(trap) -> Fraction:
+        a1, a2, a3, a4, h1, h2 = map(Fraction, trap)
+        return ((a4 - a1) + (h1 * a2 - a1) + (h2 * a3 - a1)) / 4 + a1
+
+    return (quarter(value.upper) + quarter(value.lower)) / 2
+
+
 def same_bits(x: float, y: float) -> bool:
     """Equal as IEEE values: any NaN matches any NaN, and 0.0 differs from -0.0."""
     if math.isnan(x) or math.isnan(y):

@@ -1,11 +1,13 @@
-"""DTraT defuzzification: anchors, the golden crisp table, and shift laws."""
+"""DTraT defuzzification: anchors, the golden crisp table, shift laws, and an exact oracle."""
+
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from it2ipa import IT2TrapFN, add, dtrat, fixtures, it2
-from helpers import it2_values
+from it2ipa import IT2TrapFN, Trapezoid, add, dtrat, fixtures, it2
+from helpers import exact_dtrat, it2_values
 
 
 def test_crisp_identity():
@@ -52,3 +54,32 @@ def test_monotone_under_positive_shift(a, c):
 def test_scale_values_inside_unit_interval(scale):
     for _, value in scale.terms:
         assert 0.0 <= dtrat(value) <= 1.0
+
+
+# Endpoints in any order, some -0.0 or subnormal or ints; heights in (0, 1], some the int 1.
+ENDPOINTS = st.one_of(
+    st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300), st.integers(-9, 9),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1.0, 0.1]),
+)
+HEIGHTS = st.one_of(st.just(1), st.floats(0.0, 1.0, exclude_min=True))
+TRAPEZOIDS = st.builds(Trapezoid, ENDPOINTS, ENDPOINTS, ENDPOINTS, ENDPOINTS, HEIGHTS, HEIGHTS)
+
+# DTraT rounds at most 17 times: per trapezoid two products, three differences and
+# three sums, then the sum of the two quarter sums (÷4 and ×0.5 are exact above the
+# subnormal range). No intermediate exceeds 3S in magnitude, S being the sum of the
+# eight endpoints' magnitudes (heights are at most 1), and no later operation scales
+# an error up, so the error is at most 17 × 3S × 2**-53 (+ 1 ulp of slack for the
+# products of the rounding errors). Each of those 17 and the two exact-but-for-underflow
+# scalings may also lose half the smallest subnormal: 19 × 2**-1075 in all.
+DTRAT_ROUNDINGS = 17
+
+
+def dtrat_error_bound(value: IT2TrapFN) -> Fraction:
+    s = sum(abs(Fraction(x)) for x in value.upper[:4] + value.lower[:4])
+    return Fraction(3 * DTRAT_ROUNDINGS + 1, 2**53) * s + Fraction(19, 2**1075)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.builds(IT2TrapFN, TRAPEZOIDS, TRAPEZOIDS))
+def test_within_its_rounding_bound_of_the_exact_dtrat(value):
+    assert abs(Fraction(dtrat(value)) - exact_dtrat(value)) <= dtrat_error_bound(value)

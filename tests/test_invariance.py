@@ -5,8 +5,8 @@ the CLI in-process, then rewritten without changing what it says and run again
 in another working directory. Every ``--out`` file, and the stdout of a run
 without ``--out``, must stay byte-identical. The rewrites: factor rows
 shuffled; the expert columns of a ratings file shuffled; CRLF line ends; a
-BOM; blank and ``#`` comment lines; the psychometrics file's keys and
-respondent rows shuffled and the file re-indented; and ``--out`` spelled
+BOM; blank and ``#`` comment lines; the psychometrics file's keys, respondent
+rows and item columns shuffled and the file re-indented; and ``--out`` spelled
 ``o``, ``./o``, ``o/`` or ``o//``. Two things differ by design, so both runs
 name their files alike: the report names its input as given, and the
 ``--out`` listing on stdout names each file as ``--out`` was written, so only
@@ -112,11 +112,13 @@ def rewritten_csv(draw, header: list[str], rows: list[list[str]]) -> str:
 
 
 def shuffled(draw, value):
-    """``value`` with the keys of every object and the rows of every grid in a drawn order."""
+    """``value`` with the keys of every object, and the rows and item columns of every
+    grid, in a drawn order."""
     if isinstance(value, dict):
         return {key: shuffled(draw, value[key]) for key in draw(st.permutations(list(value)))}
     if isinstance(value, list) and value and isinstance(value[0], list):
-        return draw(st.permutations(value))
+        items = draw(st.permutations(range(len(value[0]))))
+        return [[row[j] for j in items] for row in draw(st.permutations(value))]
     return value
 
 

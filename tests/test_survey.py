@@ -8,9 +8,9 @@ import random
 import tracemalloc
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from statistics import variance
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +37,7 @@ from it2ipa import default_scale, fixtures, lookup
 from it2ipa.cli import main
 from it2ipa.errors import InputFileError
 from it2ipa.survey import factor_sort_key
-from helpers import assert_it2_close, assert_same_bits, exact_mean
+from helpers import assert_it2_close, assert_same_bits, exact_alpha, exact_mean, same_bits
 
 
 def matrix_of(rows, experts=("E1", "E2", "E3")):
@@ -208,26 +208,37 @@ def alpha_oracle(grid):
     return k / (k - 1) * (1 - item_vars / total_var)
 
 
-# Cells of the int grids that take ``cronbach_alpha``'s counted route: Likert
-# answers, signed ones, and ints of either sign just under its bound of 2**26.
-INT_CELLS = [
-    lambda rng: rng.randint(1, 5),
-    lambda rng: rng.randint(-5, 5),
-    lambda rng: rng.choice((-1, 1)) * rng.randint(2**26 - 4, 2**26 - 1),
+# Cells of the grids that ``cronbach_alpha`` is compared with its exact oracle on
+ALPHA_CELLS = [
+    lambda rng: rng.randint(1, 5),  # Likert answers
+    lambda rng: rng.randrange(-(2**25), 2**25),  # mostly distinct ints
+    lambda rng: rng.choice((-1, 1)) * rng.randrange(2**53, 2**80),  # ints past 2**53
+    lambda rng: rng.choice((True, False, 1, 2, 3)),  # bool cells among ints
+    lambda rng: rng.uniform(-100.0, 100.0),
+    lambda rng: rng.choice((rng.randint(1, 5), rng.randint(2, 10) / 4, rng.uniform(1, 5))),
+    # other numbers, read by ``float``
+    lambda rng: rng.choice((rng.uniform(1, 5), rng.randint(1, 5), Fraction(rng.randint(1, 14), 3))),
+    lambda rng: rng.choice((rng.randint(1, 5), Decimal(rng.randint(1, 50)) / 10)),
+    lambda rng: rng.uniform(-1.7, 1.7) * 1e300,
+    lambda rng: rng.uniform(-1.7, 1.7) * rng.choice((1e-300, 1e-310)),  # subnormals too
 ]
 
 
+def generator(row):
+    return (cell for cell in row)
+
+
 @st.composite
-def int_grids(draw):
-    """A respondents x items grid of ints, some columns constant, some grids with equal rows."""
-    n, k = draw(st.integers(2, 60)), draw(st.integers(2, 12))
-    cell = draw(st.sampled_from(INT_CELLS))
-    rng = draw(st.randoms(use_true_random=False))
+def alpha_grids(draw):
+    """A respondents x items grid, some columns constant, some grids with equal rows."""
+    n, k = draw(st.integers(2, 40)), draw(st.integers(2, 10))
+    cell = draw(st.sampled_from(ALPHA_CELLS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
     grid = [[cell(rng) for _ in range(k)] for _ in range(n)]
-    for j in draw(st.sets(st.integers(0, k - 1), max_size=k)):
+    for j in rng.sample(range(k), rng.choice((0, 0, 1, k - 1))):
         for row in grid:
             row[j] = grid[0][j]
-    if draw(st.integers(0, 9)) == 0:  # every respondent alike: no total variance
+    if rng.random() < 0.1:  # every respondent alike: no total variance
         grid = [list(grid[0]) for _ in range(n)]
     return grid
 
@@ -235,16 +246,19 @@ def int_grids(draw):
 def alpha_or_error(grid):
     try:
         return cronbach_alpha(grid)
-    except DegenerateDataError as exc:
-        return DegenerateDataError, str(exc)
+    except DegenerateDataError:
+        return DegenerateDataError
 
 
-def takes_the_counted_kernel(grid) -> bool:
-    """Whether ``cronbach_alpha(grid)`` computes its variances from value counts."""
-    kernel = it2ipa.survey._counted_variance
-    with mock.patch.object(it2ipa.survey, "_counted_variance", wraps=kernel) as counted:
-        alpha_or_error(grid)
-    return counted.called
+def exact_alpha_or_error(grid):
+    try:
+        return exact_alpha(grid)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return DegenerateDataError
+
+
+def assert_exact_alpha(got, want):
+    assert got is want if want is DegenerateDataError else same_bits(got, want), (got, want)
 
 
 class TestCronbachAlpha:
@@ -272,10 +286,35 @@ class TestCronbachAlpha:
             assert cronbach_alpha(grid) == pytest.approx(alpha_oracle(grid), abs=1e-9)
             checked += 1
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(alpha_grids(), st.sampled_from([list, tuple, generator]))
+    def test_equals_the_exact_alpha_rounded_once(self, grid, row_kind):
+        want = exact_alpha_or_error(grid)
+        assert_exact_alpha(alpha_or_error(list(map(row_kind, grid))), want)
+
+    def test_golden_dimension_is_its_exact_alpha(self):
+        path = Path(__file__).parent / "golden_aggregated" / "psychometrics.json"
+        grid = load_psychometrics(path).dimension_scores["Fiabilité « D4 »"]
+        assert cronbach_alpha(grid) == float(Fraction(433, 495)) == 0.8747474747474747
+
+    @pytest.mark.parametrize("grid, want", [
+        ([[1e200, 1], [1, 2e200]], -8.0),
+        ([[1e308, 1e308], [1, 2], [3, 1]], 1.0),
+        ([[10**400, 1], [1, 2], [3, 5]], -0.0),  # about -1e-399, rounded once
+    ], ids=["overflow", "sum-overflow", "int-past-the-float-range"])
+    def test_sums_past_the_float_range_give_the_exact_alpha(self, grid, want):
+        assert same_bits(cronbach_alpha(grid), want)
+        assert same_bits(exact_alpha(grid), want)
+
     def test_invariant_under_item_constant_shift(self):
         grid = [[1, 4, 2], [3, 2, 5], [2, 5, 4], [5, 1, 3]]
         shifted = [[row[0] + 7.5, row[1], row[2]] for row in grid]
         assert cronbach_alpha(shifted) == pytest.approx(cronbach_alpha(grid), abs=1e-12)
+
+    def test_a_later_true_counts_as_its_int(self):
+        grid = [[1, 2], [True, 3], [3, 5]]
+        want = float(Fraction(20, 21))
+        assert cronbach_alpha(grid) == cronbach_alpha([[1, 2], [1, 3], [3, 5]]) == want
 
     @pytest.mark.parametrize("grid", [[[1, 2]], [[1], [2]], [[]]])
     def test_too_small_grids(self, grid):
@@ -285,17 +324,13 @@ class TestCronbachAlpha:
     @pytest.mark.parametrize("grid", [
         [[1, 2], [3]],
         [["a", "b"], ["c", "d"]],
-        [[1e200, 1], [1, 2e200]],  # variances overflow to a NaN coefficient
-        [[1e308, 1e308], [1, 2], [3, 1]],  # row sums overflow
         [[[1], 2], [2, 3], [3, 5]],
-        [[10**400, 1], [1, 2], [3, 5]],
         [[1, 2], 3, [3, 5]],
         [[" 1", "2 "], ["3", "5"], ["4", "4"]],
         ["12", "34", "56"],
         [[Decimal("sNaN"), 1], [1, 2], [3, 5]],  # its ``__float__`` raises ValueError
-    ], ids=["ragged", "non-numeric", "overflow", "sum-overflow", "unhashable",
-            "int-past-the-float-range", "row-not-iterable", "numeric-text", "rows-of-digits",
-            "signaling-nan"])
+    ], ids=["ragged", "non-numeric", "unhashable", "row-not-iterable", "numeric-text",
+            "rows-of-digits", "signaling-nan"])
     def test_unusable_grids(self, grid):
         with pytest.raises(DegenerateDataError):
             cronbach_alpha(grid)
@@ -310,60 +345,21 @@ class TestCronbachAlpha:
     @pytest.mark.parametrize("grid", [
         [[math.nan, 1], [1, 2], [3, 4]],
         [[math.inf, 1], [1, 2], [3, 4]],
-        [[math.inf, 1], [-math.inf, 2], [3, 4]],  # ``fsum`` refuses -inf + inf
-    ], ids=["nan", "inf", "both-infinities"])
+        [[math.inf, 1], [-math.inf, 2], [3, 4]],
+        [[Decimal("1e400"), 1], [1, 2], [3, 4]],  # ``float`` makes it an infinity
+    ], ids=["nan", "inf", "both-infinities", "decimal-past-the-float-range"])
     def test_non_finite_scores_are_named(self, grid):
         with pytest.raises(DegenerateDataError, match="a score is not a finite number"):
             cronbach_alpha(grid)
 
-    def test_finite_scores_that_overflow_are_too_large(self):
+    def test_a_conversion_that_overflows_is_too_large(self):
         with pytest.raises(DegenerateDataError, match="scores too large for float arithmetic"):
-            cronbach_alpha([[1e308, 1e308], [1, 2], [3, 1]])
+            cronbach_alpha([[Fraction(10**400), 1], [1, 2], [3, 1]])
 
     def test_subnormal_total_variance_is_degenerate(self):
         # row totals 0 and 1e-161: a total variance of 5e-323 under item variances of 1e20
         with pytest.raises(DegenerateDataError, match="too small"):
             cronbach_alpha([[1e10, -1e10, 0.0], [-1e10, 1e10, 1e-161]])
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(int_grids())
-    def test_counted_route_equals_the_two_pass_route(self, grid):
-        assert takes_the_counted_kernel(grid)
-        assert alpha_or_error(grid) == alpha_or_error([list(map(float, row)) for row in grid])
-
-    def test_golden_grids_take_the_counted_route(self):
-        # so that the golden psychometrics outputs pin the counted route bit for bit
-        path = Path(__file__).parent / "golden_aggregated" / "psychometrics.json"
-        grids = load_psychometrics(path).dimension_scores.values()
-        assert len(grids) == 3
-        assert all(map(takes_the_counted_kernel, grids))
-
-    def test_a_later_true_counts_as_its_int(self):
-        grid = [[1, 2], [True, 3], [3, 5]]
-        assert takes_the_counted_kernel(grid)
-        assert cronbach_alpha(grid) == cronbach_alpha([[1.0, 2.0], [1.0, 3.0], [3.0, 5.0]])
-
-    @pytest.mark.parametrize("make_grid", [
-        lambda: [[1, 2.5], [2, 3], [3, 5]],
-        lambda: [[1, 2], [1.0, 3], [3, 5]],
-        lambda: [[True, 2], [2, 3], [3, 5]],
-        lambda: [[2**26, 1], [1, 2], [3, 3]],
-        lambda: [[-(2**26), 1], [1, 2], [3, 3]],
-        lambda: [[1, 2], [2, 3], [3]],
-    ], ids=["float-cell", "float-equal-to-an-earlier-int", "true-first-in-its-column",
-            "int-at-the-bound", "int-at-the-negative-bound", "ragged"])
-    def test_other_grids_take_the_two_pass_route(self, make_grid):
-        assert not takes_the_counted_kernel(make_grid())
-        floats = [list(map(float, row)) for row in make_grid()]
-        assert alpha_or_error(make_grid()) == alpha_or_error(floats)
-
-    @pytest.mark.parametrize("make_grid", [
-        lambda: [(1, 2), (2, 3), (3, 5)],
-        lambda: [(v for v in row) for row in [[1, 2], [2, 3], [3, 5]]],
-    ], ids=["tuple-rows", "generator-rows"])
-    def test_tuple_and_generator_rows_take_the_counted_route(self, make_grid):
-        assert takes_the_counted_kernel(make_grid())
-        assert cronbach_alpha(make_grid()) == cronbach_alpha([[1.0, 2.0], [2.0, 3.0], [3.0, 5.0]])
 
 
 def test_factor_sort_key_natural_order():
