@@ -302,9 +302,16 @@ class TestCronbachAlpha:
         ([[1e308, 1e308], [1, 2], [3, 1]], 1.0),
         ([[10**400, 1], [1, 2], [3, 5]], -0.0),  # about -1e-399, rounded once
     ], ids=["overflow", "sum-overflow", "int-past-the-float-range"])
-    def test_sums_past_the_float_range_give_the_exact_alpha(self, grid, want):
+    def test_overflowing_sums_are_exact(self, grid, want):
         assert same_bits(cronbach_alpha(grid), want)
         assert same_bits(exact_alpha(grid), want)
+
+    def test_finite_scores_that_overflow_give_the_exact_alpha(self):
+        # the row totals 2e308 and the squares 1e616 pass the float range in any order
+        grid = [[1e308, 1e308], [1, 2], [3, 1]]
+        for rows in itertools.permutations(grid):
+            assert cronbach_alpha(list(rows)) == 1.0
+            assert cronbach_alpha([row[::-1] for row in rows]) == 1.0
 
     def test_invariant_under_item_constant_shift(self):
         grid = [[1, 4, 2], [3, 2, 5], [2, 5, 4], [5, 1, 3]]
