@@ -6,7 +6,7 @@ process with a line tracer on the frames of ``src/it2ipa`` alone, and
 compares the executable lines that never ran with those marked ``# subprocess
 only``. Exits 1 when an unmarked line went unexecuted, or when a marked line
 now runs, so that the marks can only go; exits 2 when the suite itself fails.
-Lines that only a subprocess runs count as unexecuted. Takes about a minute:
+Lines that only a subprocess runs count as unexecuted. Takes about two minutes:
 
     python scripts/unexecuted_lines.py
 """

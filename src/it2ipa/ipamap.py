@@ -21,14 +21,14 @@ class OutOfRangeError(ValueError):
 
 
 class MapThresholds(namedtuple("MapThresholds", "t1 t2")):
-    """Cut points splitting each axis into low / medium / high bands."""
+    """Cut points splitting each axis into low / medium / high bands, stored as floats."""
 
     __slots__ = ()
 
     def __new__(cls, t1=1.0 / 3.0, t2=2.0 / 3.0):
         if not (0.0 < t1 < t2 < 1.0):
             raise ValueError(f"need 0 < t1 < t2 < 1, got ({t1}, {t2})")
-        return tuple.__new__(cls, (t1, t2))
+        return tuple.__new__(cls, (float(t1), float(t2)))
 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 

@@ -565,50 +565,28 @@ def _delimited_files(report: Report):
         )
 
 
-def _float_text(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
+_BOOL = {True: "true", False: "false"}
+# ``_chunks`` takes apart a dict, a ``Table``, and a list or tuple that holds one
+# of _CONTAINERS; ``_ENCODER`` writes every other value, at indent 0.
+_CONTAINERS = (dict, list, tuple, Table)
+_ENCODER = json.JSONEncoder(indent=2, allow_nan=False)
 
 
 def _finite_text(value: float) -> str:
     """What a ``%r`` field of a ``Table`` writes of ``value``, for ``_texts`` to format ahead."""
-    return repr(value) if math.isfinite(value) else _float_text(value)  # which raises
-
-
-_BOOL = {True: "true", False: "false"}
-# How json.dumps writes a value of exactly this type; an instance of a subclass
-# is written as the first type here that it is an instance of (bool before int).
-_SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text, bool: _BOOL.get,
-                int: int.__repr__, type(None): {None: "null"}.get}
-
-
-def _json_text(value, indent: str) -> str:
-    """``value`` as ``json.dumps(..., indent=2)`` writes it at ``indent``."""
-    return "".join(_chunks(value, indent))
+    return repr(value) if math.isfinite(value) else _ENCODER.encode(value)  # which raises
 
 
 def _chunks(value, indent: str):
-    """The text of ``value`` at ``indent`` in pieces: a scalar in one, a container as it streams."""
-    inner = indent + "  "
+    """The text of ``value`` at ``indent`` in pieces, or in one from ``_ENCODER`` re-indented:
+    each newline of JSON text starts a line, since a string holds none."""
     if isinstance(value, dict):
         return _object_chunks(value.items(), indent)
     if isinstance(value, Table):
-        return _array_chunks(_table_texts(value, inner), indent)
-    if isinstance(value, (list, tuple)):
-        return _array_chunks(_scalar_texts(value) or map(_json_text, value, repeat(inner)), indent)
-    for kind, write in _SCALAR_TEXT.items():
-        if isinstance(value, kind):
-            return (write(value),)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _scalar_texts(values: list | tuple):
-    """The texts of ``values`` through one ``map`` if they are of one exact scalar type, else ``None``."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1 and (write := _SCALAR_TEXT.get(*kinds)):  # an inf or NaN raises in order
-        return map(write, values)
-    return None
+        return _table_chunks(value, indent)
+    if isinstance(value, (list, tuple)) and any(map(isinstance, value, repeat(_CONTAINERS))):
+        return _array_chunks(value, indent)
+    return (_ENCODER.encode(value).replace("\n", "\n" + indent),)
 
 
 def _row_template(fields: dict, indent: str) -> tuple[str, list[str]]:
@@ -626,25 +604,24 @@ def _row_template(fields: dict, indent: str) -> tuple[str, list[str]]:
 
 
 # A table's rows are taken this many at a time, so that the floats of a batch are
-# checked in one pass in C.
+# checked in one pass in C and its rows are written as one piece.
 _BATCH = 32
 
 
-def _table_texts(table: Table, indent: str):
-    """The text of each row of ``table`` at ``indent``; a NaN or infinity raises ``ValueError``."""
-    template, formats = _row_template(table.fields, indent)
+def _table_chunks(table: Table, indent: str):
+    """The array of ``table``'s rows at ``indent``, ``_BATCH`` rows to a piece.
+    A NaN or infinity raises ``ValueError``."""
+    inner = indent + "  "
+    template, formats = _row_template(table.fields, inner)
     floats = repeat([format == "%r" for format in formats])
+    opening, separator = "[\n" + inner, ",\n" + inner
     rows = iter(table.rows)
     for batch in iter(lambda: list(islice(rows, _BATCH)), []):
         if not all(map(math.isfinite, chain.from_iterable(map(compress, batch, floats)))):
-            list(map(_float_text, chain.from_iterable(map(compress, batch, floats))))  # raises
-        yield from map(template.__mod__, batch)
-
-
-# Items are joined into chunks of about this many characters before they are
-# handed on: a write per item made the structured emit of aggregated-5000
-# (50,000 pieces) about 3 % slower, and a chunk is small beside the report.
-_CHUNK_CHARS = 16384
+            list(map(_finite_text, chain.from_iterable(map(compress, batch, floats))))  # raises
+        yield opening + separator.join(map(template.__mod__, batch))
+        opening = separator
+    yield "[]" if opening[0] == "[" else f"\n{indent}]"
 
 
 def json_chunks(sections):
@@ -652,14 +629,11 @@ def json_chunks(sections):
 
     Values are dicts, ``Table``s, lists and tuples, and scalars, but no
     iterators; keys must be strings, and a NaN or infinity raises
-    ``ValueError``. ``json.dumps``'s pure-Python indenting encoder is not used.
-    Containers are written only by ``_object_chunks`` (one value at a time)
-    and ``_array_chunks`` (one item at a time). A ``Table``'s rows go through
-    one ``%`` template, built once for the table, ``_BATCH`` rows at a time,
-    and a list of one exact scalar type through one ``map``. Item texts are
-    joined into pieces of about ``_CHUNK_CHARS`` characters, so a caller that
-    writes the pieces out as they come holds one piece and one batch of rows
-    at a time.
+    ``ValueError``. A ``Table``'s rows go through one ``%`` template, built
+    once for the table, ``_BATCH`` rows to a piece; a dict, and a list or tuple
+    that holds a container, one value at a time; every other value through
+    ``json.JSONEncoder``. So a caller that writes the pieces out as they come
+    holds one piece and one batch of rows at a time.
     """
     yield from _object_chunks(sections, "")
     yield "\n"
@@ -669,31 +643,21 @@ def _object_chunks(pairs, indent: str):
     inner = indent + "  "
     opening, separator = "{\n" + inner, ",\n" + inner
     for key, value in pairs:
-        write = _SCALAR_TEXT.get(type(value))  # a value of an exact scalar type in the same piece
-        if write:
-            yield f"{opening}{encode_basestring_ascii(key)}: {write(value)}"
-        else:
-            yield f"{opening}{encode_basestring_ascii(key)}: "
-            yield from _chunks(value, inner)
+        yield f"{opening}{encode_basestring_ascii(key)}: "
+        yield from _chunks(value, inner)
         opening = separator
     yield "{}" if opening[0] == "{" else f"\n{indent}}}"
 
 
-def _array_chunks(texts, indent: str):
-    """The array of the item ``texts`` at ``indent``, in pieces of about ``_CHUNK_CHARS``."""
+def _array_chunks(items, indent: str):
+    """The array of ``items``, of which there is at least one, at ``indent``."""
     inner = indent + "  "
     opening, separator = "[\n" + inner, ",\n" + inner
-    rows, size = [], 0
-    for text in texts:
-        rows.append(text)
-        size += len(text)
-        if size >= _CHUNK_CHARS:
-            yield opening + separator.join(rows)
-            opening, rows, size = separator, [], 0
-    if rows:
-        yield f"{opening}{separator.join(rows)}\n{indent}]"
-    else:
-        yield "[]" if opening[0] == "[" else f"\n{indent}]"
+    for item in items:
+        yield opening
+        yield from _chunks(item, inner)
+        opening = separator
+    yield f"\n{indent}]"
 
 
 def emit(report: Report, out_dir: str | Path, formats) -> list[str]:

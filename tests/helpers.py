@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from it2ipa import IT2TrapFN, Trapezoid, it2
+from it2ipa.scoring import AS_COMPUTED
 
 
 def random_it2(rng: random.Random, lo: float = 0.0, hi: float = 1.0,
@@ -93,6 +94,22 @@ def exact_dtrat(value: IT2TrapFN) -> Fraction:
         return ((a4 - a1) + (h1 * a2 - a1) + (h2 * a3 - a1)) / 4 + a1
 
     return (quarter(value.upper) + quarter(value.lower)) / 2
+
+
+def exact_score_ends(w: IT2TrapFN, r: IT2TrapFN, mode: str | None = None) -> list[Fraction]:
+    """The eight endpoints of a score in exact arithmetic, upper trapezoid first: of the
+    success score (``mode`` None) w_k r_k, and of the failure score r_k / w_(5-k) as
+    computed or w_k (1 - r_(5-k)) as written, k = 1..4 within each trapezoid."""
+    ends = []
+    for a, b in zip(w, r):
+        a, b = list(map(Fraction, a[:4])), list(map(Fraction, b[:4]))
+        if mode is None:
+            ends += [x * y for x, y in zip(a, b)]
+        elif mode == AS_COMPUTED:
+            ends += [y / x for x, y in zip(reversed(a), b)]
+        else:
+            ends += [x * (1 - y) for x, y in zip(a, reversed(b))]
+    return ends
 
 
 def same_bits(x: float, y: float) -> bool:

@@ -3,6 +3,8 @@
 import json
 import re
 from collections.abc import Iterator
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from it2ipa import (
     render_svg,
     render_text,
 )
-from it2ipa.report import Table, json_chunks
+from it2ipa.report import REPORT_FORMATS, Table, emit, json_chunks, run_pipeline
 from it2ipa.scoring import FAILURE, SUCCESS
 
 THIRDS = MapThresholds()
@@ -68,6 +70,16 @@ class TestThresholds:
     def test_invalid_cuts_rejected(self, t1, t2):
         with pytest.raises(ValueError):
             MapThresholds(t1, t2)
+
+    def test_cuts_of_any_real_type_are_stored_as_floats(self, tmp_path):
+        def outputs(thresholds, out) -> dict:
+            emit(run_pipeline(PipelineConfig(thresholds=thresholds)), out, REPORT_FORMATS)
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        thirds = MapThresholds(Fraction(1, 3), Fraction(2, 3))
+        assert thirds == THIRDS and all(type(cut) is float for cut in thirds)
+        assert outputs(thirds, tmp_path / "fraction") == outputs(THIRDS, tmp_path / "default")
+        assert outputs(MapThresholds(Decimal("0.3"), Decimal("0.6")), tmp_path / "decimal")
 
 
 class TestPlace:

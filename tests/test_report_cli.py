@@ -614,8 +614,14 @@ class TestRowTemplates:
     @given(row_tables(), st.booleans())
     def test_equals_indented_dumps(self, table, lazy):
         table, plain = table
-        nested = Table(table.fields, iter(table.rows)) if lazy else table
-        assert chunks_text({"t": table, "u": {"v": nested}}) == dumps({"t": plain, "u": {"v": plain}})
+
+        def placed():
+            return Table(table.fields, iter(table.rows)) if lazy else table
+
+        # an array of the document, a value of an object, an item of an array and of a tuple
+        doc = {"t": table, "u": {"v": placed()}, "w": [placed()], "x": (placed(), 1)}
+        assert chunks_text(doc) == dumps({"t": plain, "u": {"v": plain}, "w": [plain],
+                                          "x": [plain, 1]})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("at", [1, 3], ids=["field", "nested"])

@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+from fractions import Fraction
 from functools import reduce
 from statistics import pstdev
 
@@ -25,9 +26,10 @@ from it2ipa import (
 )
 from it2ipa import numbers, scoring
 from it2ipa.numbers import Trapezoid
-from it2ipa.scoring import NonFiniteScoreError, RankBreakdown, RankedFactor
+from it2ipa.scoring import AS_COMPUTED, AS_WRITTEN, NonFiniteScoreError, RankBreakdown, RankedFactor
 from it2ipa.survey import factor_sort_key
-from helpers import assert_it2_close, it2_values, random_it2
+from helpers import (assert_it2_close, endpoints8, exact_score_ends, it2_values, random_it2,
+                     same_bits)
 
 F = Factor("f", "f", "d")
 
@@ -173,6 +175,35 @@ def same_float(x: float, y: float) -> bool:
 def raw_trapezoids(ends):
     heights = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     return st.builds(Trapezoid, ends, ends, ends, ends, heights, heights)
+
+
+UNIT_ROUNDOFF = Fraction(1, 2**53)  # one rounding of x is within UNIT_ROUNDOFF |x| of it
+HALF_SUBNORMAL = Fraction(1, 2**1075)  # the most a product that underflows may be off
+
+
+class TestExactScores:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(it2_values(), it2_values())
+    def test_success_score_is_the_exact_product_rounded_once(self, w, r):
+        got = endpoints8(success_score(F, w, r).value)
+        assert all(map(same_bits, got, map(float, exact_score_ends(w, r))))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(it2_values(lo=1e-300), it2_values())
+    def test_as_computed_failure_score_is_the_exact_quotient_rounded_once(self, w, r):
+        got = endpoints8(failure_score(F, w, r, AS_COMPUTED).value)
+        assert all(map(same_bits, got, map(float, exact_score_ends(w, r, AS_COMPUTED))))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(it2_values(), it2_values())
+    def test_as_written_failure_score_is_within_its_two_roundings(self, w, r):
+        # 1 - r is rounded, then the product: within (1 + u)**2 - 1 of the exact value, u the
+        # unit roundoff, plus what the product loses if it underflows (a subtraction that
+        # underflows is exact)
+        got = endpoints8(failure_score(F, w, r, AS_WRITTEN).value)
+        bound = (2 + UNIT_ROUNDOFF) * UNIT_ROUNDOFF
+        for x, exact in zip(got, exact_score_ends(w, r, AS_WRITTEN)):
+            assert abs(Fraction(x) - exact) <= bound * exact + HALF_SUBNORMAL
 
 
 class TestRankValue:
