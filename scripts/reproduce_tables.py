@@ -5,8 +5,9 @@ by stage, how closely each reference table is reproduced."""
 import argparse
 
 from it2ipa import fixtures, render_text, scoring
-from it2ipa.report import REPORT_FORMATS, PipelineConfig, emit, run_pipeline
+from it2ipa.report import PipelineConfig, run_pipeline
 from it2ipa.survey import factor_sort_key
+from it2ipa.writer import REPORT_FORMATS, emit
 
 
 def main() -> int:

@@ -14,8 +14,6 @@ from .ipamap import (
     PlacedFactor,
     partition,
     place,
-    render_svg,
-    render_text,
 )
 from .numbers import (
     DivisorSpansZeroError,
@@ -33,7 +31,7 @@ from .numbers import (
     scalar_div,
     sub,
 )
-from .report import PipelineConfig, Report, emit, run_pipeline
+from .report import PipelineConfig, Report, run_pipeline
 from .scale import (
     LinguisticScale,
     UnknownTermError,
@@ -67,6 +65,7 @@ from .survey import (
     parse_aggregated,
     parse_ratings,
 )
+from .writer import emit, render_svg, render_text
 
 __version__ = "0.1.0"
 

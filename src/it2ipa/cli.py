@@ -7,10 +7,11 @@ import json
 import os
 import sys
 
-from . import ipamap, report as report_mod, scoring
+from . import ipamap, scoring, writer
 from .errors import InputFileError
 from .ipamap import MapThresholds
-from .report import PipelineConfig, REPORT_FORMATS, emit, run_pipeline
+from .report import PipelineConfig, run_pipeline
+from .writer import REPORT_FORMATS, STRUCTURED, IoFailureError, emit
 
 
 def _thresholds(text: str) -> MapThresholds:
@@ -91,12 +92,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is not None:
         try:
-            written = emit(result, args.out, args.formats or [report_mod.STRUCTURED])
-        except report_mod.IoFailureError as exc:
+            written = emit(result, args.out, args.formats or [STRUCTURED])
+        except IoFailureError as exc:
             return _diagnostic(exc.path, None, str(exc))
         lines = [f"{path}\n" for path in written]
     else:
-        lines = report_mod.json_chunks(result.sections())
+        lines = writer.json_chunks(writer.sections(result))
     try:
         sys.stdout.writelines(lines)
         sys.stdout.flush()

@@ -1,4 +1,4 @@
-"""The 3x3 importance-performance map: banding, zoning, and rendering."""
+"""The 3x3 importance-performance map: banding, zoning, and partitioning."""
 
 from __future__ import annotations
 
@@ -98,105 +98,3 @@ def by_cell(profiles: list[PlacedFactor]) -> dict[MapRegion, list[PlacedFactor]]
             raise ValueError(f"factor {profile.factor.id}: region {profile.region!r} "
                              "is not one of the nine ipamap.REGIONS") from None
     return cells
-
-
-def render_text(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
-    """The map as a fixed-width text grid, each cell's factor ids in input order.
-
-    A region that is not one of ``REGIONS`` raises ``ValueError``.
-    """
-    content = {cell[:2]: " ".join(p.factor.id for p in members)  # by the two bands
-               for cell, members in by_cell(profiles).items()}
-    t1, t2 = thresholds
-    row_label = "importance"
-    widths = {
-        p: max([len(p)] + [len(content[(i, p)]) for i in BANDS]) for p in BANDS
-    }
-    label_width = max(len(row_label), max(len(b) for b in BANDS))
-
-    lines = []
-    header = " | ".join([row_label.ljust(label_width)] + [p.ljust(widths[p]) for p in BANDS])
-    lines.append(header)
-    lines.append("-+-".join(["-" * label_width] + ["-" * widths[p] for p in BANDS]))
-    for importance_band in reversed(BANDS):
-        row = [importance_band.ljust(label_width)]
-        row += [content[(importance_band, p)].ljust(widths[p]) for p in BANDS]
-        lines.append(" | ".join(row))
-    lines.append("")
-    lines.append(f"columns: performance bands (cuts at {t1:.6g}, {t2:.6g})")
-    return "\n".join(lines) + "\n"
-
-
-# A label's text: ``&`` ``<`` ``>`` escaped; CR as a character reference, since
-# an XML parser reads a bare CR, or CR LF, as LF; and U+FFFD for each character
-# that XML 1.0 cannot carry at all, not even as a character reference: the C0
-# controls but tab, LF and CR, and U+FFFE and U+FFFF.
-_SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;", **dict.fromkeys(
-    [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")})
-
-
-def render_svg(profiles: list[PlacedFactor], thresholds: MapThresholds) -> str:
-    """The map as a self-contained SVG scatter over the band grid, points in input order.
-
-    Each label is its factor id, a character XML 1.0 forbids written as U+FFFD,
-    so the file is well-formed XML whatever the ids hold.
-    """
-    size, margin = 500.0, 70.0
-    width = height = size + 2 * margin
-
-    def sx(v: float) -> str:
-        return f"{margin + v * size:.2f}"
-
-    def sy(v: float) -> str:
-        return f"{margin + (1.0 - v) * size:.2f}"
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        "<style>text{font-family:monospace;font-size:12px;fill:#222}"
-        ".grid{stroke:#999;stroke-dasharray:4 3}.frame{stroke:#222;fill:none}"
-        ".pt{fill:#1a5fb4}.diag{stroke:#ccc}</style>",
-        f'<rect class="frame" x="{margin:.2f}" y="{margin:.2f}" '
-        f'width="{size:.2f}" height="{size:.2f}"/>',
-        f'<line class="diag" x1="{sx(0)}" y1="{sy(0)}" x2="{sx(1)}" y2="{sy(1)}"/>',
-    ]
-    for cut in (thresholds.t1, thresholds.t2):
-        parts.append(f'<line class="grid" x1="{sx(cut)}" y1="{sy(0)}" x2="{sx(cut)}" y2="{sy(1)}"/>')
-        parts.append(f'<line class="grid" x1="{sx(0)}" y1="{sy(cut)}" x2="{sx(1)}" y2="{sy(cut)}"/>')
-
-    band_centers = {
-        "low": thresholds.t1 / 2,
-        "medium": (thresholds.t1 + thresholds.t2) / 2,
-        "high": (thresholds.t2 + 1.0) / 2,
-    }
-    for name, center in band_centers.items():
-        parts.append(
-            f'<text x="{sx(center)}" y="{height - 30:.2f}" text-anchor="middle">{name}</text>'
-        )
-        parts.append(
-            f'<text x="{margin - 10:.2f}" y="{sy(center)}" text-anchor="end">{name}</text>'
-        )
-    parts.append(
-        f'<text x="{margin + size / 2:.2f}" y="{height - 10:.2f}" '
-        f'text-anchor="middle">performance</text>'
-    )
-    parts.append(
-        f'<text x="15" y="{margin + size / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 15 {margin + size / 2:.2f})">importance</text>'
-    )
-    # Each distinct coordinate's texts, the point's and its label's, made once. Equal
-    # coordinates, 0.0 and -0.0 too, give equal texts.
-    xs, ys = {}, {}
-    for profile in profiles:
-        if profile.e_r not in xs:
-            x = sx(profile.e_r)
-            xs[profile.e_r] = x, f"{float(x) + 5:.2f}"
-        if profile.e_w not in ys:
-            y = sy(profile.e_w)
-            ys[profile.e_w] = y, f"{float(y) - 4:.2f}"
-        (x, label_x), (y, label_y) = xs[profile.e_r], ys[profile.e_w]
-        parts.append(f'<circle class="pt" cx="{x}" cy="{y}" r="3"/>')
-        label = profile.factor.id.translate(_SVG_TEXT)
-        parts.append(f'<text x="{label_x}" y="{label_y}">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from it2ipa import default_scale, fixtures
 from it2ipa.cli import main
-from it2ipa.report import DELIMITED, PipelineConfig, REPORT_FORMATS, emit, json_chunks, run_pipeline
+from it2ipa.report import PipelineConfig, run_pipeline
+from it2ipa.writer import DELIMITED, REPORT_FORMATS, emit, json_chunks, sections
 from helpers import it2_values
 
 LABELS = default_scale().labels
@@ -275,7 +276,7 @@ def test_every_valid_input_gives_the_same_report_everywhere(aggregated, psychome
                               aggregated_path=agg,
                               psychometrics_path=psy if psychometrics is not None else None)
         doc = report.to_structured()
-        assert ("".join(json_chunks(report.sections()))
+        assert ("".join(json_chunks(sections(report)))
                 == json.dumps(doc, indent=2, allow_nan=False) + "\n" == text)
 
 

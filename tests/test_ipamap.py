@@ -26,8 +26,9 @@ from it2ipa import (
     render_svg,
     render_text,
 )
-from it2ipa.report import REPORT_FORMATS, Table, emit, json_chunks, run_pipeline
+from it2ipa.report import run_pipeline
 from it2ipa.scoring import FAILURE, SUCCESS
+from it2ipa.writer import REPORT_FORMATS, Table, emit, json_chunks, sections
 
 THIRDS = MapThresholds()
 
@@ -171,10 +172,10 @@ class TestPartition:
 
 
 def map_of(profiles) -> dict:
-    """The ``map`` section of a report on ``profiles``, as ``Report.sections`` gives it."""
+    """The ``map`` section of a report on ``profiles``, as ``writer.sections`` gives it."""
     report = Report(PipelineConfig(), "in.csv", profiles, {SUCCESS: [], FAILURE: []}, [], {},
                     None, None)
-    return dict(report.sections())["map"]
+    return dict(sections(report))["map"]
 
 
 def map_text(profiles) -> str:

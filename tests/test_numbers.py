@@ -78,12 +78,22 @@ class TestConstruction:
             Trapezoid(0, 0, 0, 0, 0.0, 1.0)
         with pytest.raises(ValueError, match="heights"):
             Trapezoid(0, 0, 0, 0, 1.0, 1.2)
+        with pytest.raises(ValueError, match="heights"):
+            Trapezoid(0, 0, 0, 0, 1.0, 0.0)
 
     def test_ordering_is_soft(self):
         # raw tuples are representable; is_ordered flags them
         raw = it2((0.5, 0.4, 0.4, 0.4, 1, 1), (0.5, 0.4, 0.4, 0.4, 0.9, 0.9))
         assert not raw.is_ordered
         assert any("non-decreasing" in v for v in raw.violations())
+
+    @pytest.mark.parametrize("upper_ordered", [True, False])
+    def test_one_ordered_trapezoid_of_two_is_not_ordered(self, upper_ordered):
+        ordered, unordered = (0.1, 0.2, 0.3, 0.6, 1, 1), (0.3, 0.2, 0.3, 0.6, 1, 1)
+        upper, lower = (ordered, unordered) if upper_ordered else (unordered, ordered)
+        value = it2(upper, lower[:4] + (0.9, 0.9))
+        assert (value.upper.is_ordered, value.lower.is_ordered) == (upper_ordered, not upper_ordered)
+        assert not value.is_ordered
 
     def test_violations_containment_and_heights(self):
         bad_support = it2((0.2, 0.3, 0.4, 0.5, 1, 1), (0.1, 0.3, 0.4, 0.5, 0.9, 0.9))

@@ -22,9 +22,9 @@ import it2ipa
 from it2ipa import fixtures
 from it2ipa.cli import main
 from it2ipa.errors import InputFileError
-from it2ipa.report import (
-    DELIMITED, PipelineConfig, PsychometricsSummary, REPORT_FORMATS, STRUCTURED, SVG_MAP, Table,
-    emit, json_chunks, run_pipeline,
+from it2ipa.report import PipelineConfig, PsychometricsSummary, run_pipeline
+from it2ipa.writer import (
+    DELIMITED, REPORT_FORMATS, STRUCTURED, SVG_MAP, Table, emit, json_chunks, sections,
 )
 from helpers import random_it2
 
@@ -101,6 +101,21 @@ class TestRunPipeline:
     def test_as_written_mode_notes_divergence(self):
         report = run_default(cffs_mode="as_written")
         assert any("as_written" in note and "OUTSIDE" in note for note in report.notes)
+
+    def test_a_failure_deviation_of_exactly_the_tolerance_reads_within(self):
+        report = run_default()
+        failure = {**report.comparison["failure"], "deviation": 0.005}
+        report = report._replace(comparison={**report.comparison, "failure": failure})
+        assert sum("(within the 0.005 reproduction tolerance)" in note for note in report.notes) == 1
+
+    @pytest.mark.parametrize("kind", ["success", "failure"])
+    def test_an_empty_ranking_has_no_order_note(self, kind):
+        report = run_default()
+        assert report.comparison[kind]["reference_order"]
+        prefix = f"Computed {kind} ranking order"
+        assert any(note.startswith(prefix) for note in report.notes)
+        report = report._replace(rankings={**report.rankings, kind: []})
+        assert not any(note.startswith(prefix) for note in report.notes)
 
     def test_comparison_partition_mode(self):
         doc = run_default(partition_mode="comparison").to_structured()
@@ -207,6 +222,23 @@ class TestRunPipeline:
         [(dimension, respondents, items, alpha, passes)] = summary.dimensions
         assert (dimension, respondents, items) == ("Culture", 4, 3)
         assert isinstance(alpha, float) and passes is (alpha >= 0.7)
+
+    def test_a_cvr_equal_to_its_threshold_fails(self, tmp_path):
+        # a panel of 10 with 8 essential gives (2 * 8 - 10) / 10, exactly the float 0.6
+        path = tmp_path / "psy.json"
+        path.write_text(json.dumps({"content_validity": {
+            "panel_size": 10, "essential_counts": {"x_1": 8, "x_2": 9}, "threshold": 0.6}}))
+        summary = run_pipeline(PipelineConfig(), psychometrics_path=path).psychometrics
+        assert summary.components == [("x_1", 8, 0.6, False), ("x_2", 9, 0.8, True)]
+
+    def test_an_alpha_equal_to_its_threshold_passes(self, tmp_path):
+        # two items that agree on every respondent give an alpha of exactly 1.0
+        path = tmp_path / "psy.json"
+        path.write_text(json.dumps({"reliability": {"threshold": 1.0, "dimensions": {
+            "Agreeing": [[1, 1], [2, 2], [4, 4]], "Mixed": [[1, 2], [2, 1], [3, 3]]}}}))
+        summary = run_pipeline(PipelineConfig(), psychometrics_path=path).psychometrics
+        assert [(name, alpha, passes) for name, _, _, alpha, passes in summary.dimensions] == [
+            ("Agreeing", 1.0, True), ("Mixed", 2 / 3, False)]
 
     def test_custom_scale(self, tmp_path):
         scale_doc = {
@@ -360,7 +392,7 @@ class TestEmit:
     ], ids=["bundled", "ratings", "aggregated"])
     def test_section_chunks_join_to_the_structured_text(self, inputs):
         report = run_pipeline(PipelineConfig(), **inputs)
-        assert "".join(json_chunks(report.sections())) == dumps(report.to_structured())
+        assert "".join(json_chunks(sections(report))) == dumps(report.to_structured())
 
     def test_structured_emit_holds_one_section_at_a_time(self, report_2000, tmp_path):
         peak, size = emit_peak(report_2000, tmp_path, [STRUCTURED])

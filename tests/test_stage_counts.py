@@ -2,8 +2,9 @@
 
 Every function that the benchmark's tracer wraps is counted at the module where
 its caller resolves it (``it2ipa.report.dtrat``, not ``it2ipa.defuzz.dtrat``),
-and so is each stage function of ``run_pipeline``. A stage that runs twice, or a
-call that goes around the name the benchmark wraps, changes a count here.
+and so is each stage function of ``run_pipeline`` and each output the writer
+builds. A stage that runs twice, or a call that goes around the name the
+benchmark wraps, changes a count here.
 """
 
 import collections
@@ -33,6 +34,8 @@ WRAPPED = [
     "it2ipa.fixtures:reference_rankings",
     *(f"it2ipa.report:{stage}" for stage in STAGES),
 ]
+# Each output that the writer builds, counted besides the benchmark's names.
+OUTPUTS = ["it2ipa.writer:sections", "it2ipa.writer:render_text", "it2ipa.writer:render_svg"]
 FORMATS = ["--format", "structured", "--format", "delimited", "--format", "svg-map"]
 
 CASES = {
@@ -55,9 +58,9 @@ def counted(calls: collections.Counter, name: str, fn):
 
 @pytest.fixture
 def calls(monkeypatch) -> collections.Counter:
-    """The calls of each ``WRAPPED`` name from here to the end of the test."""
+    """The calls of each ``WRAPPED`` and ``OUTPUTS`` name from here to the end of the test."""
     calls = collections.Counter()
-    for target in WRAPPED:
+    for target in (*WRAPPED, *OUTPUTS):
         module, _, path = target.partition(":")
         owner = importlib.import_module(module)
         *classes, attr = path.split(".")
@@ -114,6 +117,8 @@ def test_each_stage_runs_once(calls, tmp_path, case):
         "it2ipa.fixtures:reference_defuzzified": 0,
         "it2ipa.fixtures:reference_scores": int(bundled),
         "it2ipa.fixtures:reference_rankings": int(bundled),
+        # all three formats are written: report.json, the delimited files and map.svg
+        **dict.fromkeys(OUTPUTS, 1),
     }
     assert {name: calls[name] for name in expected} == expected
     assert (calls["it2ipa.survey:lookup"] > 0) == ratings  # how many per cell is not pinned
