@@ -29,7 +29,6 @@ from .numbers import (
     mul,
     one_minus,
     scalar_div,
-    sub,
 )
 from .report import PipelineConfig, Report, run_pipeline
 from .scale import (
@@ -74,7 +73,6 @@ __all__ = [
     "Trapezoid",
     "it2",
     "add",
-    "sub",
     "mul",
     "div",
     "scalar_div",

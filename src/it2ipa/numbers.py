@@ -3,11 +3,11 @@
 A value is a pair of trapezoids (upper and lower membership functions), each
 described by four endpoints and two heights. Arithmetic is component-wise on
 the endpoints (division cross-reverses the divisor's endpoints) and heights
-combine by minimum. Subtraction and division can yield endpoint tuples that
-are no longer non-decreasing; those raw tuples are returned unchanged with an
-``OrderingViolatedWarning`` instead of being sorted, because the downstream
-closed-form defuzzification and ranking formulas are defined on the raw
-tuples.
+combine by minimum. Only division can turn ordered operands into endpoint
+tuples that are no longer non-decreasing; those raw tuples are returned
+unchanged with an ``OrderingViolatedWarning`` instead of being sorted, because
+the downstream closed-form defuzzification and ranking formulas are defined on
+the raw tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import itertools
 import math
 import operator
 import re
-import sys
 import warnings
 from collections import namedtuple
 from functools import cache
@@ -143,27 +142,11 @@ class IT2TrapFN(namedtuple("IT2TrapFN", "upper lower")):
             problems.append("lower heights exceed upper heights")
         return problems
 
-    def __add__(self, other: "IT2TrapFN") -> "IT2TrapFN":
-        return add(self, other)
+    def __add__(self, other):
+        """Refuse ``x + y``, ``x * y`` and ``3 * x``: not a tuple to join or repeat."""
+        raise TypeError("IT2TrapFN takes add, mul, div or scalar_div, not an operator")
 
-    def __sub__(self, other: "IT2TrapFN") -> "IT2TrapFN":
-        return sub(self, other)
-
-    def __mul__(self, other: "IT2TrapFN") -> "IT2TrapFN":
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, IT2TrapFN):
-            return div(self, other)
-        if isinstance(other, int) and not isinstance(other, bool):
-            return scalar_div(self, other)
-        return NotImplemented
-
-    def __radd__(self, other):
-        """Refuse ``(1,) + x`` and ``3 * x``: a fuzzy number is not a tuple to join or repeat."""
-        raise TypeError(f"unsupported operand types: {type(other).__name__!r} and 'IT2TrapFN'")
-
-    __rmul__ = __radd__
+    __radd__ = __mul__ = __rmul__ = __add__
 
 
 def it2(upper: tuple, lower: tuple) -> IT2TrapFN:
@@ -189,40 +172,17 @@ def _pairwise(a: IT2TrapFN, b: IT2TrapFN, op, cross: bool = False) -> IT2TrapFN:
     return IT2TrapFN(trap(a.upper, b.upper), trap(a.lower, b.lower))
 
 
-def _warn_if_unordered(result: IT2TrapFN, op: str) -> IT2TrapFN:
-    if not result.is_ordered:
-        # Name the first caller outside this module, whether it called sub/div
-        # or went through an operator such as ``x - y``.
-        level = 3
-        while sys._getframe(level - 1).f_globals is globals():
-            level += 1
-        warnings.warn(
-            f"{op} produced non-monotone endpoints; raw tuple returned",
-            OrderingViolatedWarning,
-            stacklevel=level,
-        )
-    return result
-
-
 def add(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
     """Component-wise endpoint sums; heights combine by minimum."""
     return _pairwise(a, b, operator.add)
-
-
-def sub(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
-    """Component-wise endpoint differences in like index order.
-
-    The result can be non-monotone; it is returned raw with an
-    ``OrderingViolatedWarning`` rather than re-sorted.
-    """
-    return _warn_if_unordered(_pairwise(a, b, operator.sub), "sub")
 
 
 def mul(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
     """Component-wise endpoint products (approximate IT2 product).
 
     Only valid for non-negative supports, where the component-wise rule is
-    monotone.
+    monotone: a negative first upper endpoint in either operand raises
+    ``NegativeSupportError``.
     """
     if a.upper.a1 < 0 or b.upper.a1 < 0:
         raise NegativeSupportError(
@@ -241,28 +201,37 @@ def div(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
     """Cross-reversed component-wise quotients (approximate IT2 quotient).
 
     Endpoint k of the result divides a's endpoint k by b's endpoint 5-k
-    within each trapezoid. The divisor's support must be strictly positive:
-    all eight endpoints, since an inner one may stray below ``a1`` by the
-    order slack.
+    within each trapezoid. All eight divisor endpoints must be ``> 0``, since an
+    inner one may stray below ``a1`` by the order slack; any other, NaN too,
+    raises ``DivisorSpansZeroError``. A non-monotone result is returned raw
+    with an ``OrderingViolatedWarning``.
     """
     # ``_pairwise(a, b, operator.truediv, cross=True)`` written out, as in ``mul``
     (c1, c2, c3, c4, ch1, ch2), (d1, d2, d3, d4, dh1, dh2) = b
-    low = min(c1, c2, c3, c4, d1, d2, d3, d4)
-    if low <= 0:
-        raise DivisorSpansZeroError(
-            f"divisor support must be strictly positive, got lower bound {low}"
-        )
+    if not (c1 > 0 and c2 > 0 and c3 > 0 and c4 > 0 and d1 > 0 and d2 > 0 and d3 > 0 and d4 > 0):
+        ends = c1, c2, c3, c4, d1, d2, d3, d4
+        low = math.nan if any(x != x for x in ends) else min(ends)
+        raise DivisorSpansZeroError(f"divisor support must be strictly positive, got lower bound {low}")
     (a1, a2, a3, a4, ah1, ah2), (b1, b2, b3, b4, bh1, bh2) = a
-    return _warn_if_unordered(IT2TrapFN(
-        Trapezoid(a1 / c4, a2 / c3, a3 / c2, a4 / c1, min(ah1, ch1), min(ah2, ch2)),
-        Trapezoid(b1 / d4, b2 / d3, b3 / d2, b4 / d1, min(bh1, dh1), min(bh2, dh2)),
-    ), "div")
+    result = IT2TrapFN(Trapezoid(a1 / c4, a2 / c3, a3 / c2, a4 / c1, min(ah1, ch1), min(ah2, ch2)),
+                       Trapezoid(b1 / d4, b2 / d3, b3 / d2, b4 / d1, min(bh1, dh1), min(bh2, dh2)))
+    if not result.is_ordered:
+        warnings.warn("div produced non-monotone endpoints; raw tuple returned",
+                      OrderingViolatedWarning, stacklevel=2)
+    return result
 
 
 def scalar_div(a: IT2TrapFN, m: int) -> IT2TrapFN:
-    """Divide every endpoint by a positive integer; heights unchanged."""
-    if m < 1:
-        raise InvalidDivisorError(f"divisor must be a positive integer, got {m}")
+    """Divide every endpoint by a positive integer ``m``; heights unchanged.
+
+    Any ``m`` but an int (not a bool) from 1 to the float range raises ``InvalidDivisorError``.
+    """
+    try:
+        divisor = float(m) if isinstance(m, int) and not isinstance(m, bool) else 0.0
+    except OverflowError:
+        raise InvalidDivisorError(f"divisor of {m.bit_length()} bits is past the float range") from None
+    if divisor < 1:
+        raise InvalidDivisorError(f"divisor must be a positive integer, got {m!r}")
     return _pairwise(a, IT2TrapFN.crisp(m), operator.truediv)
 
 
@@ -338,9 +307,9 @@ def mean(values) -> IT2TrapFN:
     """The mean operator: each endpoint's exact sum over ``values``, divided by their count
     and rounded once; heights are the minimum over ``values``.
 
-    ``values`` is a non-empty sequence. This is ``counted_mean`` with a count of one per
-    value, so the result does not depend on the order of ``values`` (see ``counted_mean``
-    for zeros, NaN and infinities).
+    ``values`` is a sequence; an empty one raises ``InvalidDivisorError``. This is
+    ``counted_mean`` with a count of one per value, so the result does not depend on the
+    order of ``values`` (see ``counted_mean`` for zeros, NaN and infinities).
     """
     m = len(values)
     if m < 1:

@@ -43,9 +43,6 @@ class LinguisticScale(namedtuple("LinguisticScale", "terms")):
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 # Chen-Lee five-term scale on [0, 1].
 _DEFAULT_TERMS = (

@@ -4,14 +4,17 @@ types it is given."""
 
 import math
 import re
+import warnings
 from xml.etree import ElementTree
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from it2ipa import (
-    DegenerateDataError, Factor, IT2TrapFN, InvalidCountsError, MapRegion, MapThresholds,
-    PlacedFactor, cronbach_alpha, cvr, place, render_svg, render_text,
+    DegenerateDataError, DivisorSpansZeroError, Factor, IT2TrapFN, InvalidCountsError,
+    InvalidDivisorError, MapRegion, MapThresholds, NegativeSupportError, PlacedFactor, Trapezoid,
+    add, cronbach_alpha, cvr, div, mean, mul, one_minus, place, render_svg, render_text,
+    scalar_div,
 )
 from it2ipa.ipamap import BANDS, REGIONS
 
@@ -122,3 +125,68 @@ def test_render_text_gives_the_grid_or_names_a_stray_region(placed):
         assert str(exc).startswith(f"factor {stray[0].factor.id}: region {stray[0].region!r}")
         return
     assert not stray and text.endswith("\n")
+
+
+# Fuzzy values with endpoints of any float, in any order, and valid heights
+ENDS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan]))
+HEIGHTS = st.floats(0.0, 1.0, exclude_min=True)
+TRAPEZOIDS = st.builds(Trapezoid, ENDS, ENDS, ENDS, ENDS, HEIGHTS, HEIGHTS)
+VALUES = st.builds(IT2TrapFN, TRAPEZOIDS, TRAPEZOIDS)
+# ints up to past the float range, the first int ``float`` overflows on and the last it
+# does not, and things that are not an int
+DIVISORS = st.one_of(
+    st.integers(max_value=10**400), st.sampled_from([2**1024 - 2**970, 2**1024 - 2**970 - 1]),
+    st.floats(), st.booleans(),
+)
+
+
+def value_or_named_error(call, *args, named=()):
+    """``call(*args)``'s value, checked to be a fuzzy value, or None when it raised one of
+    ``named``; any other exception escapes and fails the test. Warnings are ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            value = call(*args)
+        except named:
+            return None
+    assert type(value) is IT2TrapFN and all(type(t) is Trapezoid for t in value)
+    return value
+
+
+@CONTRACT
+@given(VALUES, VALUES)
+def test_add_returns_a_value(a, b):
+    value_or_named_error(add, a, b)
+
+
+@CONTRACT
+@given(VALUES, VALUES)
+def test_mul_returns_a_value_or_refuses_a_negative_support(a, b):
+    value_or_named_error(mul, a, b, named=NegativeSupportError)
+
+
+@CONTRACT
+@given(VALUES, VALUES)
+def test_div_returns_a_value_or_refuses_a_divisor_not_above_zero(a, b):
+    value_or_named_error(div, a, b, named=DivisorSpansZeroError)
+
+
+@CONTRACT
+@given(VALUES, DIVISORS)
+def test_scalar_div_returns_a_value_only_for_a_positive_int(a, m):
+    if value_or_named_error(scalar_div, a, m, named=InvalidDivisorError) is not None:
+        assert type(m) is int and 1 <= m < 2**1024 - 2**970
+
+
+@CONTRACT
+@given(VALUES)
+def test_one_minus_returns_a_value(a):
+    value_or_named_error(one_minus, a)
+
+
+@CONTRACT
+@given(st.lists(VALUES, max_size=8))
+def test_mean_returns_a_value_or_refuses_no_values(values):
+    if value_or_named_error(mean, values, named=InvalidDivisorError) is None:
+        assert values == []

@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 import it2ipa
 
 PACKAGE = Path(it2ipa.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_all_lists_every_public_name_the_package_imports():
@@ -20,6 +22,12 @@ def test_all_lists_every_public_name_the_package_imports():
               if not name.startswith("_") and not isinstance(getattr(it2ipa, name), types.ModuleType)}
     assert len(it2ipa.__all__) == len(set(it2ipa.__all__))
     assert set(it2ipa.__all__) == public
+
+
+def test_the_package_version_is_the_project_version():
+    # one ``version = "..."`` line in pyproject.toml, read without ``tomllib`` (new in 3.11)
+    versions = re.findall(r'^version = "([^"]+)"$', PYPROJECT.read_text(encoding="utf-8"), re.M)
+    assert versions == [it2ipa.__version__]
 
 
 @pytest.mark.parametrize("module", sorted(

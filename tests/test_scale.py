@@ -26,7 +26,7 @@ EXPECTED_CRISP = (0.01875, 0.11625, 0.4875, 0.85875, 0.95625)
 
 def test_term_count_and_order(scale):
     assert scale.labels == EXPECTED_LABELS
-    assert len(scale) == 5
+    assert len(scale.terms) == 5
 
 
 def test_medium_encoding(scale):
