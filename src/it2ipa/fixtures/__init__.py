@@ -42,9 +42,9 @@ def reference_scores() -> dict[str, dict[str, IT2TrapFN]]:
     return out
 
 
-def reference_rankings() -> dict[str, list[tuple[str, float]]]:
-    """Published ranked orderings, keyed by kind, as (factor id, rank) lists."""
-    out: dict[str, list[tuple[str, float]]] = {"success": [], "failure": []}
+def reference_rankings() -> dict[str, list[str]]:
+    """Published ranked orderings, keyed by kind, as factor id lists."""
+    out: dict[str, list[str]] = {"success": [], "failure": []}
     for row in sorted(_rows(RANKS), key=lambda r: (r["kind"], int(r["position"]))):
-        out[row["kind"]].append((row["factor_id"], float(row["rank"])))
+        out[row["kind"]].append(row["factor_id"])
     return out

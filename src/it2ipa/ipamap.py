@@ -40,15 +40,11 @@ PlacedFactor = namedtuple("PlacedFactor", FactorProfile._fields + ("e_w", "e_r",
 PlacedFactor.__doc__ = """A profile with its crisp importance and performance and its map cell."""
 
 
-def band(value: float, thresholds: MapThresholds) -> str:
-    """Band assignment over [0, t1), [t1, t2), [t2, 1]."""
+def _band(value: float, thresholds: MapThresholds) -> int:
+    """The index in ``BANDS`` of the band of [0, t1), [t1, t2), [t2, 1] that ``value`` is in."""
     if not (0.0 <= value <= 1.0):
         raise OutOfRangeError(f"map coordinates must lie in [0, 1], got {value}")
-    if value < thresholds.t1:
-        return "low"
-    if value < thresholds.t2:
-        return "medium"
-    return "high"
+    return (value >= thresholds.t1) + (value >= thresholds.t2)
 
 
 def _zone(gap: float) -> str:
@@ -64,9 +60,11 @@ REGIONS = tuple(
 
 
 def place(e_w: float, e_r: float, thresholds: MapThresholds) -> MapRegion:
-    """The member of ``REGIONS`` that a crisp importance and performance fall in."""
-    row = 2 - BANDS.index(band(e_w, thresholds))
-    return REGIONS[3 * row + BANDS.index(band(e_r, thresholds))]
+    """The member of ``REGIONS`` that a crisp importance and performance fall in.
+
+    A coordinate outside [0, 1], NaN included, raises ``OutOfRangeError``.
+    """
+    return REGIONS[3 * (2 - _band(e_w, thresholds)) + _band(e_r, thresholds)]
 
 
 def partition(
@@ -77,14 +75,20 @@ def partition(
 
     ``region`` mode follows the map zone; ``comparison`` mode compares the
     crisp values directly (importance above performance means a failure
-    candidate). Each output list keeps the order of ``profiles``.
+    candidate). Each output list keeps the order of ``profiles``. Another
+    ``mode``, or in ``region`` mode a region whose zone is none of the three,
+    raises ``ValueError``.
     """
     if mode not in PARTITION_MODES:
         raise ValueError(f"mode must be '{REGION_MODE}' or '{COMPARISON_MODE}', got {mode!r}")
     parts: dict[str, list[PlacedFactor]] = {WEAKNESS: [], STRENGTH: [], BALANCED: []}
     for profile in profiles:
         zone = profile.region.zone if mode == REGION_MODE else _zone(profile.e_w - profile.e_r)
-        parts[zone].append(profile)
+        try:
+            parts[zone].append(profile)
+        except KeyError:
+            raise ValueError(f"factor {profile.factor.id}: region {profile.region!r} "
+                             f"has a zone that is not {WEAKNESS}, {BALANCED} or {STRENGTH}") from None
     return parts[WEAKNESS], parts[STRENGTH], parts[BALANCED]
 
 

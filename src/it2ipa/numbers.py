@@ -181,18 +181,20 @@ def mul(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
     """Component-wise endpoint products (approximate IT2 product).
 
     Only valid for non-negative supports, where the component-wise rule is
-    monotone: a negative first upper endpoint in either operand raises
+    monotone: all eight endpoints of each operand must be ``>= 0``, since an inner
+    one may stray below ``a1`` by the order slack; any other, NaN too, raises
     ``NegativeSupportError``.
     """
-    if a.upper.a1 < 0 or b.upper.a1 < 0:
-        raise NegativeSupportError(
-            f"multiplication needs non-negative supports, got lower bounds "
-            f"{a.upper.a1} and {b.upper.a1}"
-        )
     # ``_pairwise(a, b, operator.mul)`` written out, the same operations in the same
     # order: a's upper and lower trapezoid, then b's
     (a1, a2, a3, a4, ah1, ah2), (b1, b2, b3, b4, bh1, bh2) = a
     (c1, c2, c3, c4, ch1, ch2), (d1, d2, d3, d4, dh1, dh2) = b
+    if not (a1 >= 0 and a2 >= 0 and a3 >= 0 and a4 >= 0 and b1 >= 0 and b2 >= 0 and b3 >= 0
+            and b4 >= 0 and c1 >= 0 and c2 >= 0 and c3 >= 0 and c4 >= 0 and d1 >= 0 and d2 >= 0
+            and d3 >= 0 and d4 >= 0):
+        ends = a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, c3, c4, d1, d2, d3, d4
+        low = math.nan if any(x != x for x in ends) else min(ends)
+        raise NegativeSupportError(f"multiplication needs non-negative supports, got lower bound {low}")
     return IT2TrapFN(Trapezoid(a1 * c1, a2 * c2, a3 * c3, a4 * c4, min(ah1, ch1), min(ah2, ch2)),
                      Trapezoid(b1 * d1, b2 * d2, b3 * d3, b4 * d4, min(bh1, dh1), min(bh2, dh2)))
 

@@ -193,7 +193,7 @@ def _reference_comparison(profiles, rankings: dict, cffs_mode: str) -> dict:
                 for p in profiles if p.factor.id in scores[kind]
             ),
             "reference_candidates": sorted(scores[kind], key=factor_sort_key),
-            "reference_order": [fid for fid, _ in orders[kind]],
+            "reference_order": orders[kind],
         }
     listed = scores[scoring.SUCCESS].keys() | scores[scoring.FAILURE].keys()
     comparison["unlisted"] = sorted({p.factor.id for p in profiles} - listed, key=factor_sort_key)
@@ -227,18 +227,11 @@ def _place(profiles, thresholds: MapThresholds, sort_key) -> list[PlacedFactor]:
     as ``parse_aggregated`` shares them, share its crisp value. The memo is keyed
     by identity, as in ``writer._texts``, and freed on return.
     """
-    crisp = {}
-
-    def defuzzified(value) -> float:
-        key = id(value)
-        e = crisp.get(key)
-        if e is None:
-            e = crisp[key] = dtrat(value)
-        return e
-
+    values = {id(value): value for p in profiles for value in (p.w_fuzzy, p.r_fuzzy)}
+    crisp = {key: dtrat(value) for key, value in values.items()}
     placed = []
     for p in sorted(profiles, key=lambda p: sort_key(p.factor.id)):
-        e_w, e_r = defuzzified(p.w_fuzzy), defuzzified(p.r_fuzzy)
+        e_w, e_r = crisp[id(p.w_fuzzy)], crisp[id(p.r_fuzzy)]
         placed.append(PlacedFactor(*p, e_w, e_r, ipamap.place(e_w, e_r, thresholds)))
     return placed
 

@@ -67,19 +67,24 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
     blank cells before any of its labels is resolved; then each cell is
     resolved with its own ``lookup`` call, in expert order, so an unknown
     label names its factor, expert and facet, and the first bad cell of a row
-    is the one reported. The row is then counted by label text. The scale's
+    is the one reported. The row is then counted by the value objects that
+    ``lookup`` returns, so every spelling of a label adds one term. The scale's
     values are turned into exact terms over one denominator once per call
-    (``numbers.mean_terms``), so the sums run over the counts.
+    (``numbers.mean_terms``), so the sums run over the counts. A matrix with no
+    factors or no experts, or not one dense row per factor and facet, raises
+    ``EmptyMatrixError``; a label the scale does not define, ``UnknownTermError``.
     """
-    if not matrix.factors or not matrix.experts:
+    n, m = len(matrix.factors), len(matrix.experts)
+    if not n or not m:
         raise EmptyMatrixError("rating matrix needs at least one factor and one expert")
+    if len(matrix.importance) != n or len(matrix.performance) != n:
+        raise EmptyMatrixError(f"rating matrix is not dense ({len(matrix.importance)} importance and "
+                               f"{len(matrix.performance)} performance rows for {n} factors)")
 
-    m = len(matrix.experts)
     scale_values = [value for _, value in scale.terms]
     denominator, scale_terms = numbers.mean_terms(scale_values)
-    # ``lookup`` returns the scale's own value objects
-    by_value = dict(zip(map(id, scale_values), scale_terms))
-    terms = {}  # label text -> the mean terms of its value
+    # ``lookup`` returns the scale's own value objects, so their ids key their terms
+    terms = dict(zip(map(id, scale_values), scale_terms))
     profiles = []
     for i, factor in enumerate(matrix.factors):
         means = {}
@@ -91,9 +96,8 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
                     f"factor {factor.id}: {facet} row is not dense ({len(row)} cells for {m} experts)"
                 )
             try:
-                # one call per cell, as bench/test_bench.py counts them; the values
-                # are read only for the texts not yet in ``terms``
-                values = [lookup(scale, label) for label in row]
+                # one call per cell, as bench/test_bench.py counts them
+                counts = Counter(map(id, [lookup(scale, label) for label in row]))
             except UnknownTermError as exc:
                 # the lookups stop at the first bad cell; an earlier cell with
                 # the same text would have failed first
@@ -102,9 +106,6 @@ def aggregate(matrix: RatingMatrix, scale: LinguisticScale) -> list[FactorProfil
                     exc.label, exc.vocabulary,
                     context=f"factor {factor.id}, expert {expert}, {facet}",
                 ) from None
-            counts = Counter(row)
-            for label in counts.keys() - terms.keys():
-                terms[label] = by_value[id(values[row.index(label)])]
             means[facet] = numbers.counted_mean(denominator, list(map(terms.__getitem__, counts)),
                                                 counts.values())
         profiles.append(FactorProfile(factor, means[IMPORTANCE], means[PERFORMANCE]))
@@ -270,7 +271,8 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
 
     Layout: header ``factor_id[,name][,dimension],facet,<expert>...``, then one
     row per (factor, facet) with one scale label per expert. Every factor must
-    appear with both facets and every cell must be filled. Records are read
+    appear with both facets, with the same name and dimension on both rows once
+    the defaults are applied, and every cell must be filled. Records are read
     as a stream, and equal label texts share one ``str`` in the matrix.
     """
     with closing(_factor_table(path, "ratings", ("facet",))) as table:
@@ -279,8 +281,8 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
             raise InputFileError(path, "no expert columns after 'facet'", row=header_line)
 
         labels: dict[str, str] = {}  # one string per distinct label text
-        factors: list[Factor] = []
-        by_id: dict[str, dict[str, list[str]]] = {}
+        # id -> the line and factor of its first row, and its rows by facet
+        by_id: dict[str, tuple[int, Factor, dict[str, list[str]]]] = {}
         for lineno, factor, cells in table:
             fid = factor.id
             facet_text = cells.pop(0)
@@ -291,23 +293,26 @@ def parse_ratings(path: str | Path) -> RatingMatrix:
                 )
             if not all(cells):
                 raise InputFileError(path, f"factor {fid}: empty {facet} cell", row=lineno)
-            if fid not in by_id:
-                factors.append(factor)
-                by_id[fid] = {}
-            if facet in by_id[fid]:
+            line, known, rows = by_id.setdefault(fid, (lineno, factor, {}))
+            if factor != known:
+                raise InputFileError(
+                    path, f"factor {fid}: name {factor.name!r} and dimension {factor.dimension!r} "
+                    f"differ from {known.name!r} and {known.dimension!r} on line {line}", row=lineno
+                )
+            if facet in rows:
                 raise InputFileError(path, f"duplicate {facet} row for factor {fid}", row=lineno)
-            by_id[fid][facet] = list(map(labels.setdefault, cells, cells))
+            rows[facet] = list(map(labels.setdefault, cells, cells))
 
-    for factor in factors:
-        missing = [f for f in FACETS if f not in by_id[factor.id]]
+    for _, factor, rows in by_id.values():
+        missing = [f for f in FACETS if f not in rows]
         if missing:
             raise InputFileError(path, f"factor {factor.id}: missing {missing[0]} row")
 
     return RatingMatrix(
-        factors=factors,
+        factors=[factor for _, factor, _ in by_id.values()],
         experts=experts,
-        importance=[by_id[f.id][IMPORTANCE] for f in factors],
-        performance=[by_id[f.id][PERFORMANCE] for f in factors],
+        importance=[rows[IMPORTANCE] for _, _, rows in by_id.values()],
+        performance=[rows[PERFORMANCE] for _, _, rows in by_id.values()],
     )
 
 

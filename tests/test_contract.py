@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from it2ipa import (
-    DegenerateDataError, DivisorSpansZeroError, Factor, IT2TrapFN, InvalidCountsError,
-    InvalidDivisorError, MapRegion, MapThresholds, NegativeSupportError, PlacedFactor, Trapezoid,
-    add, cronbach_alpha, cvr, div, mean, mul, one_minus, place, render_svg, render_text,
-    scalar_div,
+    DegenerateDataError, DivisorSpansZeroError, EmptyMatrixError, Factor, FactorProfile,
+    IT2TrapFN, InvalidCountsError, InvalidDivisorError, LinguisticScale, MapRegion, MapThresholds,
+    NegativeSupportError, OutOfRangeError, PlacedFactor, RatingMatrix, Trapezoid, UnknownTermError,
+    add, aggregate, cronbach_alpha, cvr, default_scale, div, dtrat, lookup, mean, mul, one_minus,
+    partition, place, render_svg, render_text, scalar_div,
 )
 from it2ipa.ipamap import BANDS, REGIONS
+from helpers import assert_same_bits
 
 CONTRACT = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -190,3 +192,120 @@ def test_one_minus_returns_a_value(a):
 def test_mean_returns_a_value_or_refuses_no_values(values):
     if value_or_named_error(mean, values, named=InvalidDivisorError) is None:
         assert values == []
+
+
+@CONTRACT
+@given(VALUES)
+def test_dtrat_returns_a_float(a):
+    assert type(dtrat(a)) is float
+
+
+# Label texts: a few spellings of short words, with case and padding noise, and any text
+WORDS = st.sampled_from(["Low", "high", "Medium", "x", "ß", "SS", "İ", "i̇", "", "ǅ"])
+PADDING = st.sampled_from(["", " ", "\t", "\u2003", "\n "])
+LABELS = st.one_of(
+    st.builds(lambda pad, word, case, end: pad + case(word) + end,
+              PADDING, WORDS, st.sampled_from([str, str.upper, str.lower, str.title]), PADDING),
+    st.text(max_size=4),
+)
+# the built-in scale, or a hand-built one of up to five terms with any labels and values,
+# two terms of one key included
+SCALES = st.one_of(
+    st.just(default_scale()),
+    st.lists(st.tuples(LABELS, VALUES), max_size=5).map(LinguisticScale),
+)
+
+
+def key(label: str) -> str:
+    return label.strip().casefold()
+
+
+@CONTRACT
+@given(SCALES, st.data())
+def test_lookup_returns_the_first_term_of_its_key_or_refuses_it(scale, data):
+    labels = [label for label, _ in scale.terms]
+    label = data.draw(LABELS | st.sampled_from(labels) if labels else LABELS)
+    want = [value for term, value in scale.terms if key(term) == key(label)]
+    try:
+        value = lookup(scale, label)
+    except UnknownTermError as exc:
+        assert not want and exc.label == label and exc.vocabulary == tuple(labels)
+        return
+    assert value is want[0]
+
+
+@st.composite
+def rating_matrices(draw):
+    """A scale, and a matrix of its labels in any spelling, with a blank or unknown cell, a
+    ragged row or a row too many or too few now and then, and now and then no factors or
+    no experts."""
+    scale = draw(SCALES)
+    sizes = st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 0])
+    n, m = draw(sizes), draw(sizes)
+    labels = [label for label, _ in scale.terms]
+    spelled = st.sampled_from(labels).flatmap(
+        lambda label: st.sampled_from([label, label.upper(), f" {label.lower()}\t"])
+    ) if labels else LABELS
+    grids = [[draw(st.lists(spelled, min_size=m, max_size=m)) for _ in range(n)] for _ in range(2)]
+    if n and m:
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            row = draw(st.sampled_from(grids))[draw(st.integers(0, n - 1))]
+            row[draw(st.integers(0, m - 1))] = draw(LABELS | st.sampled_from(["", " "]))
+        if draw(st.integers(0, 5)) == 5:
+            draw(st.sampled_from(grids))[draw(st.integers(0, n - 1))].pop()
+    if draw(st.integers(0, 7)) == 7:  # a row too many or too few
+        grid = draw(st.sampled_from(grids))
+        if grid and draw(st.booleans()):
+            grid.pop()
+        else:
+            grid.append(list(grid[0]) if grid else ["Low"])
+    factors = [Factor(f"x{i}", f"x{i}", "d") for i in range(n)]
+    return scale, RatingMatrix(factors, [f"E{j}" for j in range(m)], *grids)
+
+
+@CONTRACT
+@given(rating_matrices())
+def test_aggregate_gives_each_rows_mean_or_refuses_the_matrix(generated):
+    scale, matrix = generated
+    try:
+        profiles = aggregate(matrix, scale)
+    except (EmptyMatrixError, UnknownTermError):
+        return
+    assert [type(p) for p in profiles] == [FactorProfile] * len(matrix.factors)
+    for i, profile in enumerate(profiles):
+        assert profile.factor is matrix.factors[i]
+        for value, grid in zip(profile[1:], (matrix.importance, matrix.performance)):
+            assert_same_bits(value, mean([lookup(scale, label) for label in grid[i]]))
+
+
+COORDINATES = st.one_of(UNIT, st.floats(), st.sampled_from([-0.0, 5e-324, 1.0, 1.0000000000000002]))
+
+
+@CONTRACT
+@given(COORDINATES, COORDINATES, THRESHOLDS)
+def test_place_gives_the_cell_of_its_bands_or_refuses_a_coordinate_off_the_map(e_w, e_r, cuts):
+    try:
+        region = place(e_w, e_r, cuts)
+    except OutOfRangeError:
+        assert not (0.0 <= e_w <= 1.0 and 0.0 <= e_r <= 1.0)
+        return
+
+    def band(value):
+        return "low" if value < cuts.t1 else "medium" if value < cuts.t2 else "high"
+
+    assert region in REGIONS and region[:2] == (band(e_w), band(e_r))
+
+
+@CONTRACT
+@given(placed_maps(), st.sampled_from(["region", "comparison", "Region", ""]))
+def test_partition_splits_the_profiles_or_refuses_a_mode_or_a_stray_zone(placed, mode):
+    profiles, _ = placed
+    stray = [p for p in profiles if p.region.zone not in ("weakness", "balanced", "strength")]
+    try:
+        failure, success, balanced = partition(profiles, mode)
+    except ValueError as exc:
+        assert mode not in ("region", "comparison") or (
+            mode == "region" and str(exc).startswith(f"factor {stray[0].factor.id}: region"))
+        return
+    assert mode == "comparison" or (mode == "region" and not stray)
+    assert sorted(map(id, failure + success + balanced)) == sorted(map(id, profiles))

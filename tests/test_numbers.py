@@ -459,11 +459,10 @@ def pairwise_reference(a: IT2TrapFN, b: IT2TrapFN, op, cross: bool = False) -> I
 
 
 def mul_reference(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
-    if a.upper.a1 < 0 or b.upper.a1 < 0:
-        raise NegativeSupportError(
-            f"multiplication needs non-negative supports, got lower bounds "
-            f"{a.upper.a1} and {b.upper.a1}"
-        )
+    ends = a.upper.endpoints + a.lower.endpoints + b.upper.endpoints + b.lower.endpoints
+    if not all(x >= 0 for x in ends):
+        low = math.nan if any(math.isnan(x) for x in ends) else min(ends)
+        raise NegativeSupportError(f"multiplication needs non-negative supports, got lower bound {low}")
     return pairwise_reference(a, b, operator.mul)
 
 
@@ -475,6 +474,13 @@ def div_reference(a: IT2TrapFN, b: IT2TrapFN) -> IT2TrapFN:
             f"divisor support must be strictly positive, got lower bound {low}"
         )
     return pairwise_reference(a, b, operator.truediv, cross=True)
+
+
+def _with_nan_at(k: int) -> IT2TrapFN:
+    """An ordered value on [0, 1] with a NaN as its endpoint k, upper trapezoid first."""
+    ends = [0.0, 0.25, 0.5, 0.75, 0.1, 0.25, 0.5, 0.7]
+    ends[k] = math.nan
+    return it2((*ends[:4], 1, 1), (*ends[4:], 0.9, 0.9))
 
 
 def kernel_outcome(op, a, b):
@@ -520,8 +526,13 @@ class TestKernelsAgainstPairwise:
     @pytest.mark.parametrize("a,b,error", [
         (it2((-0.0, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1)), CRISP_ONE, None),
         (it2((-1e-300, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1)), CRISP_ONE, NegativeSupportError),
-        (CRISP_ONE, it2((math.nan, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1)), None),
-    ], ids=["negative-zero", "negative-subnormal", "nan-support"])
+        (CRISP_ONE, it2((math.nan, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1)), NegativeSupportError),
+        (CRISP_ONE, it2((0, -1e-13, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1)), NegativeSupportError),
+        (it2((0, 0, 1, 1, 1, 1), (-0.25, 0, 1, 1, 1, 1)), CRISP_ONE, NegativeSupportError),
+        *(((value, CRISP_ONE), (CRISP_ONE, value))[side] + (NegativeSupportError,)
+          for value in map(_with_nan_at, range(8)) for side in (0, 1)),
+    ], ids=["negative-zero", "negative-subnormal", "nan-support", "negative-inner", "negative-lower",
+            *(f"nan-at-{k}-{side}" for k in range(8) for side in ("left", "right"))])
     def test_mul_errors(self, a, b, error):
         got = kernel_outcome(mul, a, b)
         assert got == kernel_outcome(mul_reference, a, b)

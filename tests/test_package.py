@@ -11,6 +11,7 @@ import it2ipa
 
 PACKAGE = Path(it2ipa.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def test_all_lists_every_public_name_the_package_imports():
@@ -28,6 +29,15 @@ def test_the_package_version_is_the_project_version():
     # one ``version = "..."`` line in pyproject.toml, read without ``tomllib`` (new in 3.11)
     versions = re.findall(r'^version = "([^"]+)"$', PYPROJECT.read_text(encoding="utf-8"), re.M)
     assert versions == [it2ipa.__version__]
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's one ``python`` block, run as written: it writes ``report/`` where it runs
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
+    assert sorted(path.name for path in (tmp_path / "report").iterdir()) == ["map.svg", "report.json"]
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -440,6 +440,25 @@ class TestParseRatings:
         with pytest.raises(InputFileError, match="duplicate importance"):
             parse_ratings(path)
 
+    @pytest.mark.parametrize("second", [
+        "x1,Other,Tech,performance,Low,Low",
+        "x1,Trust,Tech,performance,Low,Low",
+        "x1,,Culture,performance,Low,Low",  # the name defaults to the id
+    ], ids=["name-and-dimension", "dimension", "defaulted-name"])
+    def test_row_that_contradicts_its_factors_first_row(self, tmp_path, second):
+        path = tmp_path / "ratings.csv"
+        path.write_text(f"factor_id,name,dimension,facet,E1,E2\n"
+                        f"x1,Trust,Culture,importance,High,Low\n{second}\n")
+        with pytest.raises(InputFileError, match=r"factor x1: .* on line 2$") as excinfo:
+            parse_ratings(path)
+        assert excinfo.value.row == 3
+
+    def test_rows_that_agree_once_the_defaults_apply(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text("factor_id,name,dimension,facet,E1\n"
+                        "x1,x1,general,importance,High\nx1,,,performance,Low\n")
+        assert parse_ratings(path).factors == [Factor("x1", "x1", "general")]
+
     def test_bad_facet_name_reports_row(self, tmp_path):
         path = tmp_path / "ratings.csv"
         path.write_text("factor_id,facet,E1\nf1,weight,Low\n")
@@ -472,7 +491,7 @@ class TestParseRatings:
         path.write_text(
             'factor_id,name,facet,E1,E2\n'
             'f1,"two\nlines",importance,Low,High\n'
-            'f1,x,performance,Low,High\n'
+            'f3,x,performance,Low,High\n'
             'f2,y,importance,Low\n'
         )
         with pytest.raises(InputFileError, match="expected 5 cells") as excinfo:
